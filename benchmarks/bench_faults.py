@@ -13,8 +13,8 @@ Two questions the scheduler rewrite must answer with numbers:
 
 import time
 
-from repro.training import (ParallelConfig, enumerate_cells, inject_faults,
-                            run_cells)
+from repro.training import (ExecutionPolicy, FaultPolicy, ParallelConfig,
+                            enumerate_cells, inject_faults, run_cells)
 
 SEQ_LEN = 2
 
@@ -34,12 +34,14 @@ def test_fault_layer_overhead_when_healthy(cohort, experiment_config):
     cells = _cells(cohort, experiment_config)
 
     start = time.perf_counter()
-    plain = run_cells(cells, ParallelConfig(jobs=2))
+    plain = run_cells(cells,
+                      ParallelConfig(execution=ExecutionPolicy(jobs=2)))
     base = time.perf_counter() - start
 
     start = time.perf_counter()
     supervised = run_cells(cells, ParallelConfig(
-        jobs=2, retries=2, timeout=3600.0, on_error="collect"))
+        execution=ExecutionPolicy(jobs=2),
+        faults=FaultPolicy(retries=2, timeout=3600.0, on_error="collect")))
     guarded = time.perf_counter() - start
 
     print(f"\nfault-layer overhead ({len(cells)} cells, jobs=2): "
@@ -57,13 +59,16 @@ def test_recovery_cost_under_injected_faults(cohort, experiment_config):
     cells = _cells(cohort, experiment_config)
 
     start = time.perf_counter()
-    healthy = run_cells(cells, ParallelConfig(jobs=2))
+    healthy = run_cells(cells,
+                        ParallelConfig(execution=ExecutionPolicy(jobs=2)))
     base = time.perf_counter() - start
 
     start = time.perf_counter()
     recovered = run_cells(cells, ParallelConfig(
-        jobs=2, retries=1, retry_backoff=0.0,
-        fault_injector=inject_faults("exception", every=2, times=1)))
+        execution=ExecutionPolicy(jobs=2),
+        faults=FaultPolicy(
+            retries=1, retry_backoff=0.0,
+            fault_injector=inject_faults("exception", every=2, times=1))))
     faulted = time.perf_counter() - start
 
     retried = sum(1 for index in range(len(cells))

@@ -13,7 +13,8 @@ same (method, GDT) grid must reuse every constructed DTW graph.
 import os
 import time
 
-from repro.training import GraphCache, ParallelConfig, run_cohort
+from repro.training import (ExecutionPolicy, GraphCache, ParallelConfig,
+                            run_cohort)
 
 SEQ_LEN = 2
 
@@ -42,7 +43,8 @@ def test_parallel_scaling(cohort, experiment_config):
     for jobs in (1, 2, 4):
         start = time.perf_counter()
         results = run_cohort(cohort, "a3tgcn", SEQ_LEN, **kwargs,
-                             parallel=ParallelConfig(jobs=jobs))
+                             parallel=ParallelConfig(
+                                 execution=ExecutionPolicy(jobs=jobs)))
         timings[jobs] = time.perf_counter() - start
         scores[jobs] = [r.test_mse for r in results]
 

@@ -7,8 +7,9 @@ MTGNN's static row normalization), the temporary-heavy per-parameter Adam
 update, and ASTGCN's per-window-step Python loop over Chebyshev
 convolutions.  This benchmark measures each optimized kernel against the
 path it replaced, asserts the replacements are *exact* (bit-identical
-trajectories for fused Adam, bit-identical outputs for the vectorized
-convolution and cached constants), and checks the combined hot path —
+trajectories for the flat-buffer Adam against its per-parameter
+reference loop, bit-identical outputs for the vectorized convolution
+and cached constants), and checks the combined hot path —
 graph-constant construction plus an epoch budget of optimizer steps — is
 at least ``KERNEL_TARGET`` times faster.  It also bounds what the
 profiler costs when disabled.  Writes ``BENCH_kernels.json``.
@@ -34,6 +35,7 @@ from repro.nn.graphcache import (cached_chebyshev_basis,
                                  cached_normalized_adjacency,
                                  cached_row_normalized, clear_graph_caches)
 from repro.optim import Adam
+from repro.optim.adam import _reference_step
 from repro.training import Trainer, TrainerConfig
 from repro.training.callbacks import CallbackSpec
 
@@ -125,23 +127,28 @@ def _grad_params(seed=1):
 
 
 def _bench_fused_adam():
-    """Flat-buffer fused step vs reference loop: speed + bit-identity."""
-    unfused = Adam(_grad_params(), lr=0.01, weight_decay=1e-4)
-    fused = Adam(_grad_params(), lr=0.01, weight_decay=1e-4, fused=True)
-    unfused.step()
-    fused.step()  # warmup: builds the flat update groups
-    unfused_s = _min_chunk_seconds(3, 300, lambda i: unfused.step())
-    fused_s = _min_chunk_seconds(3, 300, lambda i: fused.step())
+    """Adam's flat-buffer step vs the reference loop: speed + bit-identity.
+
+    ``unfused_seconds`` times the per-parameter reference loop
+    (``_reference_step``), ``fused_seconds`` times ``Adam.step``.
+    """
+    reference = Adam(_grad_params(), lr=0.01, weight_decay=1e-4)
+    flat = Adam(_grad_params(), lr=0.01, weight_decay=1e-4)
+    _reference_step(reference)
+    flat.step()  # warmup: builds the flat update groups
+    reference_s = _min_chunk_seconds(3, 300,
+                                     lambda i: _reference_step(reference))
+    flat_s = _min_chunk_seconds(3, 300, lambda i: flat.step())
 
     # Bit-identity over real training trajectories, with + without decay.
     windows = make_windows(_series(2), L)
     adj = _adjacency(V, seed=2)
     for weight_decay in (0.0, 1e-4):
         runs = {}
-        for use_fused in (False, True):
+        for step in (_reference_step, Adam.step):
             model = create_model("a3tgcn", V, L, adjacency=adj, seed=3)
             optimizer = Adam(model.parameters(), lr=0.01,
-                             weight_decay=weight_decay, fused=use_fused)
+                             weight_decay=weight_decay)
             model.train()
             losses = []
             for _ in range(_iters(20)):
@@ -149,17 +156,17 @@ def _bench_fused_adam():
                 loss = mse(model(Tensor(windows.inputs.astype(np.float32))),
                            windows.targets.astype(np.float32))
                 loss.backward()
-                optimizer.step()
+                step(optimizer)
                 losses.append(loss.item())
-            runs[use_fused] = (losses,
-                              [p.data.copy() for p in model.parameters()])
-        assert runs[False][0] == runs[True][0], \
-            f"fused Adam losses drift (weight_decay={weight_decay})"
+            runs[step] = (losses, [p.data.copy() for p in model.parameters()])
+        reference_run, flat_run = runs[_reference_step], runs[Adam.step]
+        assert reference_run[0] == flat_run[0], \
+            f"flat Adam losses drift (weight_decay={weight_decay})"
         assert all(np.array_equal(a, b) for a, b
-                   in zip(runs[False][1], runs[True][1])), \
-            f"fused Adam weights drift (weight_decay={weight_decay})"
-    return {"unfused_seconds": unfused_s, "fused_seconds": fused_s,
-            "speedup": unfused_s / fused_s}
+                   in zip(reference_run[1], flat_run[1])), \
+            f"flat Adam weights drift (weight_decay={weight_decay})"
+    return {"unfused_seconds": reference_s, "fused_seconds": flat_s,
+            "speedup": reference_s / flat_s}
 
 
 def _bench_vectorized_cheb():

@@ -205,6 +205,5 @@ STACKED_LOSSES = ("mse", "mae", "huber")
 #: Callback specs with a lane-masked handler implementation.
 LANE_CALLBACKS = ("early-stopping", "divergence-guard")
 
-#: Optimizer kwargs the stacked Adam understands ("fused" is a solo-Adam
-#: toggle; the stacked step is always the fused flat-buffer form).
-STACKED_OPTIMIZER_KWARGS = ("betas", "eps", "fused")
+#: Optimizer kwargs the stacked Adam understands.
+STACKED_OPTIMIZER_KWARGS = ("betas", "eps")

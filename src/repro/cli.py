@@ -63,6 +63,7 @@ profiler is ``--profiler`` / the ``profile`` subcommand.)
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -90,8 +91,17 @@ def _nonnegative_int(value: str) -> int:
 
 def _positive_float(value: str) -> float:
     number = float(value)
-    if number <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not 0 < number < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0, got {value}")
+    return number
+
+
+def _nonnegative_float(value: str) -> float:
+    number = float(value)
+    if not 0 <= number < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {value}")
     return number
 
 
@@ -288,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch-size", type=_positive_int, default=32,
                        metavar="K",
                        help="micro-batch flush threshold (default: 32)")
-    serve.add_argument("--max-linger", type=float, default=0.05,
+    serve.add_argument("--max-linger", type=_nonnegative_float, default=0.05,
                        metavar="SECONDS",
                        help="max time a request may wait for batchmates "
                             "(default: 0.05)")

@@ -30,6 +30,8 @@ The engine therefore mirrors :mod:`repro.training.stacked`, forward-only:
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -104,7 +106,13 @@ class RequestFailure:
                 f"{self.kind} — {self.error_type}: {self.message}")
 
 
-_MAX_STACK_CACHE = 32
+def _validated_timeout(timeout) -> float:
+    """A request's timeout in seconds: any finite real number but a bool."""
+    if isinstance(timeout, bool) or not isinstance(timeout, numbers.Real) \
+            or not math.isfinite(timeout):
+        raise ValueError(f"timeout must be a finite number of seconds, "
+                         f"got {timeout!r}")
+    return float(timeout)
 
 
 class InferenceEngine:
@@ -127,8 +135,9 @@ class InferenceEngine:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got "
                              f"{max_batch_size}")
-        if max_linger < 0:
-            raise ValueError(f"max_linger must be >= 0, got {max_linger}")
+        if not 0 <= max_linger < math.inf:
+            raise ValueError(f"max_linger must be finite and >= 0, got "
+                             f"{max_linger}")
         self.max_batch_size = int(max_batch_size)
         self.max_linger = float(max_linger)
         self.use_stacked = bool(use_stacked)
@@ -149,7 +158,6 @@ class InferenceEngine:
                     shard.model_name)
         self._pending: "list[ForecastRequest]" = []
         self._solo_cache: "dict[tuple[str, str], object]" = {}
-        self._stack_cache: "OrderedDict[tuple, OrderedDict]" = OrderedDict()
         self._sparse_verdicts: "dict[tuple, bool]" = {}
         self._seq = itertools.count()
         self.stats = {"submitted": 0, "served": 0, "batched": 0,
@@ -218,13 +226,14 @@ class InferenceEngine:
             model_name, (shard, artifact) = self._resolve(identifier,
                                                           model_name)
             window = self._validated_window(window, shard, artifact)
+            deadline = None if timeout is None \
+                else now + _validated_timeout(timeout)
         except (KeyError, ValueError, TypeError) as error:
             error_type, message, _ = describe_exception(error)
             self.stats["failed"] += 1
             return [RequestFailure(request_id=request_id,
                                    identifier=identifier, kind="exception",
                                    error_type=error_type, message=message)]
-        deadline = None if timeout is None else now + float(timeout)
         self._pending.append(ForecastRequest(
             request_id=request_id, identifier=identifier,
             model_name=model_name, window=window, deadline=deadline,
@@ -401,30 +410,6 @@ class InferenceEngine:
                 kind="exception", error_type=error_type, message=message,
                 elapsed=time.monotonic() - start)
 
-    def _stacked_params(self, shard: CohortShard,
-                        identifiers: "tuple[str, ...]") -> OrderedDict:
-        key = (shard.version, shard.model_name, shard.dtype,
-               shard.config_digest, identifiers)
-        cached = self._stack_cache.get(key)
-        if cached is not None:
-            self._stack_cache.move_to_end(key)
-            return cached
-        models = [self._solo_model(shard, identifier)
-                  for identifier in identifiers]
-        per_model = [dict(model.named_parameters()) for model in models]
-        names = [name for name, _ in models[0].named_parameters()]
-        # Plain Tensors, not Parameters: Parameter casts to the default
-        # dtype on construction, and the stack must keep the stored
-        # arrays bit-for-bit.  (The default dtype is the shard dtype
-        # here anyway, but the engine should not depend on that.)
-        params = OrderedDict(
-            (name, Tensor(np.stack([pm[name].data for pm in per_model])))
-            for name in names)
-        self._stack_cache[key] = params
-        if len(self._stack_cache) > _MAX_STACK_CACHE:
-            self._stack_cache.popitem(last=False)
-        return params
-
     def _run_stacked(self, shard: CohortShard,
                      requests: "list[ForecastRequest]") -> "list":
         start = time.monotonic()
@@ -433,7 +418,14 @@ class InferenceEngine:
                      for identifier in identifiers]
         models = [self._solo_model(shard, identifier)
                   for identifier in identifiers]
-        params = self._stacked_params(shard, identifiers)
+        per_model = [dict(model.named_parameters()) for model in models]
+        # Plain Tensors, not Parameters: Parameter casts to the default
+        # dtype on construction, and the stack must keep the stored
+        # arrays bit-for-bit.  (The default dtype is the shard dtype
+        # here anyway, but the engine should not depend on that.)
+        params = OrderedDict(
+            (name, Tensor(np.stack([pm[name].data for pm in per_model])))
+            for name in per_model[0])
         # (K, 1, L, V): each request is one sample in its lane.
         inputs = np.stack([request.window[None] for request in requests])
         hidden_size = models[0].hidden_size

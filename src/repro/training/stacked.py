@@ -23,8 +23,9 @@ executor therefore mirrors the solo path *operation by operation*:
 * elementwise ops, reductions and losses are lane-rows of the exact solo
   expressions (a C-contiguous row reduction is bitwise the solo full
   reduction);
-* :class:`~repro.optim.adam.StackedAdam` replays the fused flat-buffer
-  Adam per lane row, with a lane mask to freeze early-stopped lanes;
+* :class:`~repro.optim.adam.StackedAdam` runs solo Adam's flat-buffer
+  update over all lane rows, with a lane mask to freeze early-stopped
+  lanes;
 * per-lane early-stopping / divergence-guard handlers replay the solo
   callbacks' decision logic (same thresholds, same snapshot/restore
   points), so a lane stops at exactly the epoch its solo fit would.
@@ -540,12 +541,10 @@ def _execute_stack(lanes: list[_Lane],
                 data[lane] = saved[name]
                 param.data = data  # reassign to bump the version counter
 
-    optimizer_kwargs = dict(resolved.optimizer_kwargs)
-    optimizer_kwargs.pop("fused", None)
     optimizer = StackedAdam(
         params.values(), lr=resolved.learning_rate,
         weight_decay=0.0 if resolved.weight_decay is None
-        else resolved.weight_decay, **optimizer_kwargs)
+        else resolved.weight_decay, **dict(resolved.optimizer_kwargs))
 
     lane_handlers = [
         [_LANE_HANDLERS[spec.name](snapshot, restore, **spec.kwargs)

@@ -1,6 +1,8 @@
 """Tests for the CLI (fast commands, plus full table runs at a micro
 profile patched over ``tiny`` so they execute in seconds)."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -117,6 +119,29 @@ class TestParser:
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_positive_float_flags_reject_non_finite(self, value):
+        from repro.cli import _positive_float
+
+        with pytest.raises(argparse.ArgumentTypeError):
+            _positive_float(value)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["table2", "--cell-timeout", value])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--store", "s",
+                                       "--timeout", value])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_max_linger_rejects_negative_and_non_finite(self, value):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--store", "s",
+                                       "--max-linger", value])
+
+    def test_max_linger_accepts_zero(self):
+        args = build_parser().parse_args(["serve", "--store", "s",
+                                          "--max-linger", "0"])
+        assert args.max_linger == 0.0
 
     def test_fault_flags_on_experiment_commands(self):
         for command in ("table2", "table3", "fig3"):

@@ -1,16 +1,18 @@
-"""Tests for the optimizer registry, keyword-only shims, and fused Adam."""
+"""Tests for the optimizer registry, keyword-only signatures, and the
+flat-buffer Adam kernel against its per-parameter reference loop."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, mse
+from repro.autodiff import Tensor, mse, set_default_dtype
 from repro.data.windows import make_windows
 from repro.models import create_model
 from repro.nn import Parameter
 from repro.optim import (SGD, Adam, OPTIMIZER_REGISTRY, get_optimizer,
                          register_optimizer)
+from repro.optim.adam import _reference_step
 from repro.training import Trainer, TrainerConfig
 
 
@@ -70,44 +72,12 @@ class TestOptimizerRegistry:
 
 
 class TestKeywordOnlyShims:
-    def _single_warning(self, recorded):
-        deprecations = [w for w in recorded
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        return deprecations[0]
-
-    def test_adam_positional_warns_and_matches(self):
-        old_p, new_p = params(2), params(2)
-        put_grads(old_p), put_grads(new_p)
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            old = Adam(old_p, 0.01, (0.8, 0.99), 1e-6, 0.01)
-        self._single_warning(recorded)
-        new = Adam(new_p, lr=0.01, betas=(0.8, 0.99), eps=1e-6,
-                   weight_decay=0.01)
-        old.step()
-        new.step()
-        for p_old, p_new in zip(old_p, new_p):
-            np.testing.assert_array_equal(p_old.data, p_new.data)
-
-    def test_sgd_positional_warns_and_matches(self):
-        old_p, new_p = params(3), params(3)
-        put_grads(old_p), put_grads(new_p)
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            old = SGD(old_p, 0.1, 0.9, 0.01)
-        self._single_warning(recorded)
-        new = SGD(new_p, lr=0.1, momentum=0.9, weight_decay=0.01)
-        old.step()
-        new.step()
-        for p_old, p_new in zip(old_p, new_p):
-            np.testing.assert_array_equal(p_old.data, p_new.data)
-
     def test_too_many_positionals(self):
+        """Only ``lr`` may be positional; the old shims are gone."""
         with pytest.raises(TypeError):
-            Adam(params(), 0.01, (0.9, 0.999), 1e-8, 0.0, True)
+            Adam(params(), 0.01, (0.9, 0.999))
         with pytest.raises(TypeError):
-            SGD(params(), 0.1, 0.9, 0.0, "extra")
+            SGD(params(), 0.1, 0.9)
 
     def test_keyword_form_is_warning_free(self):
         with warnings.catch_warnings(record=True) as recorded:
@@ -117,21 +87,35 @@ class TestKeywordOnlyShims:
         assert not [w for w in recorded
                     if issubclass(w.category, DeprecationWarning)]
 
+    def test_fused_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            Adam(params(), lr=0.01, fused=True)
+
+
+def assert_same_state(a, b):
+    for p_a, p_b in zip(a.parameters, b.parameters):
+        np.testing.assert_array_equal(p_a.data, p_b.data)
+    for m_a, m_b, v_a, v_b in zip(a._m, b._m, a._v, b._v):
+        np.testing.assert_array_equal(m_a, m_b)
+        np.testing.assert_array_equal(v_a, v_b)
+
 
 class TestFusedAdam:
+    """The flat-buffer kernel against the per-parameter reference loop."""
+
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
     def test_fused_bit_identical_over_training(self, weight_decay):
-        """Fused and reference Adam produce identical fits, bit for bit."""
+        """Adam and the reference loop produce identical fits, bit for bit."""
         rng = np.random.default_rng(5)
         windows = make_windows(rng.standard_normal((50, 6)), 3)
         adjacency = rng.random((6, 6))
         adjacency = (adjacency + adjacency.T) / 2
         np.fill_diagonal(adjacency, 0.0)
         runs = {}
-        for fused in (False, True):
+        for step in (Adam.step, _reference_step):
             model = create_model("a3tgcn", 6, 3, adjacency=adjacency, seed=7)
             optimizer = Adam(model.parameters(), lr=0.01,
-                             weight_decay=weight_decay, fused=fused)
+                             weight_decay=weight_decay)
             model.train()
             losses = []
             for _ in range(12):
@@ -139,39 +123,65 @@ class TestFusedAdam:
                 loss = mse(model(Tensor(windows.inputs.astype(np.float32))),
                            windows.targets.astype(np.float32))
                 loss.backward()
-                optimizer.step()
+                step(optimizer)
                 losses.append(loss.item())
-            runs[fused] = (losses, [p.data.copy()
-                                    for p in model.parameters()])
-        assert runs[False][0] == runs[True][0]
-        for ref, opt in zip(runs[False][1], runs[True][1]):
+            runs[step] = (losses, [p.data.copy()
+                                   for p in model.parameters()])
+        assert runs[Adam.step][0] == runs[_reference_step][0]
+        for ref, opt in zip(runs[_reference_step][1], runs[Adam.step][1]):
             np.testing.assert_array_equal(ref, opt)
 
     def test_fused_moments_stay_inspectable(self):
-        """_m/_v stay per-parameter (views into flat storage) when fused."""
-        fused_p, ref_p = params(8), params(8)
-        put_grads(fused_p), put_grads(ref_p)
-        fused = Adam(fused_p, lr=0.01, fused=True)
+        """_m/_v stay per-parameter arrays (views into flat storage)."""
+        flat_p, ref_p = params(8), params(8)
+        put_grads(flat_p), put_grads(ref_p)
+        flat = Adam(flat_p, lr=0.01)
         ref = Adam(ref_p, lr=0.01)
         for _ in range(2):
-            fused.step()
-            ref.step()
-        for m_fused, m_ref, p in zip(fused._m, ref._m, fused_p):
-            assert m_fused.shape == p.data.shape
-            np.testing.assert_array_equal(m_fused, m_ref)
+            flat.step()
+            _reference_step(ref)
+        for m_flat, p in zip(flat._m, flat_p):
+            assert m_flat.shape == p.data.shape
+        assert_same_state(flat, ref)
 
     def test_fused_handles_gradless_parameters(self):
         parameters = params(9)
         put_grads(parameters)
         parameters[1].grad = None
         frozen = parameters[1].data.copy()
-        opt = Adam(parameters, lr=0.1, fused=True)
+        opt = Adam(parameters, lr=0.1)
         opt.step()
         np.testing.assert_array_equal(parameters[1].data, frozen)
         # pattern change: the frozen parameter thaws mid-training.
         put_grads(parameters, seed=4)
         opt.step()
         assert not np.array_equal(parameters[1].data, frozen)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_flat_step_matches_reference_oracle(self, dtype, weight_decay):
+        """Bitwise equal to the reference loop at every step, across mixed
+        shapes, gradless parameters and changes in which carry grads."""
+        set_default_dtype(dtype)
+        rng = np.random.default_rng(11)
+        shapes = [(4, 5), (5,), (), (2, 3, 4)]
+        twins = [[Parameter(rng.standard_normal(shape)) for shape in shapes]
+                 for _ in range(2)]
+        for a, b in zip(*twins):
+            b.data = a.data.copy()
+        flat, ref = (Adam(ps, lr=0.05, weight_decay=weight_decay)
+                     for ps in twins)
+        # Step 0-1: all carry grads; 2-3: two gradless; 4-6: another set.
+        gradless = [(), (), (1, 2), (1, 2), (0,), (0,), (0,)]
+        for step, skip in enumerate(gradless):
+            for i, shape in enumerate(shapes):
+                grad = None if i in skip else rng.standard_normal(shape)
+                for ps in twins:
+                    ps[i].grad = None if grad is None \
+                        else grad.astype(ps[i].data.dtype)
+            flat.step()
+            _reference_step(ref)
+            assert_same_state(flat, ref)
 
 
 class TestTrainerConfigOptimizer:

@@ -128,6 +128,21 @@ class TestFailures:
         assert by_id["p0"].kind == "timeout"
         assert isinstance(by_id["p1"], ForecastResponse)
 
+    @pytest.mark.parametrize("timeout", [True, float("inf"), float("nan"),
+                                         "1.0"])
+    def test_timeout_must_be_a_finite_real(self, timeout):
+        engine, _, _ = engine_for("lstm", count=2, max_batch_size=10)
+        outcomes = engine.submit("p0", timeout=timeout)
+        assert isinstance(outcomes[0], RequestFailure)
+        assert "timeout must be" in outcomes[0].message
+        assert engine.flush() == []  # never enqueued
+
+    @pytest.mark.parametrize("max_linger", [-0.1, float("nan"),
+                                            float("inf")])
+    def test_max_linger_must_be_finite_and_nonnegative(self, max_linger):
+        with pytest.raises(ValueError, match="max_linger"):
+            engine_for("lstm", count=2, max_linger=max_linger)
+
     def test_sync_forecast_raises_on_unknown(self):
         engine, _, _ = engine_for("lstm", count=2)
         with pytest.raises(KeyError, match="unknown individual"):

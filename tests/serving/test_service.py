@@ -56,6 +56,27 @@ class TestForecastService:
         assert results[0]["ok"] is False
         assert "JSON object" in results[0]["message"]
 
+    def test_bad_timeouts_fail_alone(self, store_dir):
+        """Each bad timeout becomes its own failure; the stream goes on."""
+        service = ForecastService(store_dir)
+        lines = [json.dumps({"id": "word", "individual": "p0",
+                             "timeout": "soon"}),
+                 json.dumps({"id": "list", "individual": "p1",
+                             "timeout": [1]}),
+                 '{"id": "nan", "individual": "p2", "timeout": NaN}',
+                 json.dumps({"id": "good", "individual": "p0",
+                             "timeout": 60.0})]
+        results = {r["id"]: r for r in service.run(lines)}
+        assert sorted(results) == ["good", "list", "nan", "word"]
+        for bad in ("word", "list", "nan"):
+            assert results[bad]["ok"] is False
+            assert results[bad]["kind"] == "exception"
+            assert "timeout" in results[bad]["message"]
+        assert results["good"]["ok"] is True
+        np.testing.assert_array_equal(
+            np.asarray(results["good"]["prediction"]),
+            service.engine.forecast("p0"))
+
     def test_unknown_individual_is_failure_object(self, store_dir):
         service = ForecastService(store_dir)
         results = service.run([json.dumps({"individual": "nobody"})])

@@ -17,10 +17,11 @@ from repro.data import PreprocessingPipeline, SynthesisConfig, generate_cohort
 from repro.evaluation import score_results
 from repro.models import ModelConfig
 from repro.training import (CellFailure, CohortCheckpoint,
-                            CohortExecutionError, FaultInjector,
-                            InjectedFault, ParallelConfig, TrainerConfig,
-                            enumerate_cells, inject_faults, is_divergent,
-                            reseed_cell, run_cells)
+                            CohortExecutionError, ExecutionPolicy,
+                            FaultInjector, FaultPolicy, InjectedFault,
+                            ParallelConfig, TrainerConfig, enumerate_cells,
+                            inject_faults, is_divergent, reseed_cell,
+                            run_cells)
 
 FAST_MODEL = ModelConfig(hidden_size=8, mtgnn_layers=1, mtgnn_embedding_dim=4)
 FAST_TRAINER = TrainerConfig(epochs=2)
@@ -116,15 +117,15 @@ class TestDivergenceHelpers:
 
 class TestSerialFaults:
     def test_retry_then_succeed_is_bit_identical(self, cells10, baseline10):
-        results = run_cells(cells10, ParallelConfig(
+        results = run_cells(cells10, ParallelConfig(faults=FaultPolicy(
             retries=1, retry_backoff=0.0,
-            fault_injector=inject_faults("exception", every=2, times=1)))
+            fault_injector=inject_faults("exception", every=2, times=1))))
         assert scores_of(results) == scores_of(baseline10)
 
     def test_collect_returns_structured_failures(self, cells10, baseline10):
-        results = run_cells(cells10, ParallelConfig(
+        results = run_cells(cells10, ParallelConfig(faults=FaultPolicy(
             retries=1, on_error="collect", retry_backoff=0.0,
-            fault_injector=inject_faults("exception", every=5)))
+            fault_injector=inject_faults("exception", every=5))))
         assert kinds_of(results) == ["ok"] * 4 + ["exception"] + ["ok"] * 4 \
             + ["exception"]
         for index in (4, 9):
@@ -141,9 +142,9 @@ class TestSerialFaults:
 
     def test_acceptance_degraded_cohort_aggregates(self, cells10):
         """10 cells, 2 injected failures: 8 results + n_failed=2."""
-        results = run_cells(cells10, ParallelConfig(
+        results = run_cells(cells10, ParallelConfig(faults=FaultPolicy(
             retries=1, on_error="collect", retry_backoff=0.0,
-            fault_injector=inject_faults("exception", every=5)))
+            fault_injector=inject_faults("exception", every=5))))
         assert sum(isinstance(r, CellFailure) for r in results) == 2
         score = score_results(results)
         assert score.count == 8
@@ -152,27 +153,27 @@ class TestSerialFaults:
 
     def test_on_error_raise_carries_failure(self, cells10):
         with pytest.raises(CohortExecutionError) as caught:
-            run_cells(cells10, ParallelConfig(
+            run_cells(cells10, ParallelConfig(faults=FaultPolicy(
                 on_error="raise", retry_backoff=0.0,
-                fault_injector=inject_faults("exception", every=5)))
+                fault_injector=inject_faults("exception", every=5))))
         failure = caught.value.failure
         assert failure.kind == "exception"
         assert failure.key == cells10[4].key
 
     def test_on_error_skip_drops_failed_cells(self, cells10):
-        results = run_cells(cells10, ParallelConfig(
+        results = run_cells(cells10, ParallelConfig(faults=FaultPolicy(
             on_error="skip", retry_backoff=0.0,
-            fault_injector=inject_faults("exception", every=5)))
+            fault_injector=inject_faults("exception", every=5))))
         assert len(results) == 8
         survivors = {c.individual.identifier for i, c in enumerate(cells10)
                      if i not in (4, 9)}
         assert {r.identifier for r in results} == survivors
 
     def test_nan_divergence_reseeds_and_recovers(self, cells10, baseline10):
-        results = run_cells(cells10, ParallelConfig(
+        results = run_cells(cells10, ParallelConfig(faults=FaultPolicy(
             retries=1, on_error="collect", retry_backoff=0.0,
             divergence_reseed=True,
-            fault_injector=inject_faults("nan", every=5, times=1)))
+            fault_injector=inject_faults("nan", every=5, times=1))))
         assert not any(isinstance(r, CellFailure) for r in results)
         assert all(math.isfinite(r.test_mse) for r in results)
         # The reseeded retries trained under fresh seeds: different scores.
@@ -186,46 +187,53 @@ class TestSerialFaults:
         # With reseeding off the retry replays the original RNG stream;
         # since the injector only poisons attempt 1, the replay is
         # bit-identical to the unfaulted run.
-        results = run_cells(cells10, ParallelConfig(
+        results = run_cells(cells10, ParallelConfig(faults=FaultPolicy(
             retries=1, retry_backoff=0.0, divergence_reseed=False,
-            fault_injector=inject_faults("nan", every=5, times=1)))
+            fault_injector=inject_faults("nan", every=5, times=1))))
         assert scores_of(results) == scores_of(baseline10)
 
     def test_persistent_nan_fails_as_divergence(self, cells10):
-        results = run_cells(cells10[:5], ParallelConfig(
+        results = run_cells(cells10[:5], ParallelConfig(faults=FaultPolicy(
             retries=1, on_error="collect", retry_backoff=0.0,
-            fault_injector=inject_faults("nan", every=5)))
+            fault_injector=inject_faults("nan", every=5))))
         assert kinds_of(results) == ["ok"] * 4 + ["divergence"]
         assert results[4].attempts == 2
 
     def test_serial_crash_degrades_to_exception(self, cells10, baseline10):
         # In-process "crash" must not kill the interpreter; it raises and
         # the retry recovers bit-identically.
-        results = run_cells(cells10[:4], ParallelConfig(
+        results = run_cells(cells10[:4], ParallelConfig(faults=FaultPolicy(
             retries=1, retry_backoff=0.0,
-            fault_injector=inject_faults("crash", every=2, times=1)))
+            fault_injector=inject_faults("crash", every=2, times=1))))
         assert scores_of(results) == scores_of(baseline10[:4])
 
 
 class TestPoolFaults:
     def test_pool_retry_is_bit_identical(self, cells10, baseline10):
         results = run_cells(cells10[:4], ParallelConfig(
-            jobs=2, retries=1, retry_backoff=0.0,
-            fault_injector=inject_faults("exception", every=2, times=1)))
+            execution=ExecutionPolicy(jobs=2),
+            faults=FaultPolicy(
+                retries=1, retry_backoff=0.0,
+                fault_injector=inject_faults("exception", every=2, times=1))))
         assert scores_of(results) == scores_of(baseline10[:4])
 
     def test_serial_and_parallel_agree_under_faults(self, cells10):
-        config = dict(retries=0, on_error="collect", retry_backoff=0.0,
-                      fault_injector=inject_faults("exception", every=2))
-        serial = run_cells(cells10[:4], ParallelConfig(jobs=1, **config))
-        parallel = run_cells(cells10[:4], ParallelConfig(jobs=2, **config))
+        faults = FaultPolicy(retries=0, on_error="collect", retry_backoff=0.0,
+                             fault_injector=inject_faults("exception",
+                                                          every=2))
+        serial = run_cells(cells10[:4], ParallelConfig(faults=faults))
+        parallel = run_cells(cells10[:4], ParallelConfig(
+            execution=ExecutionPolicy(jobs=2), faults=faults))
         assert kinds_of(serial) == kinds_of(parallel)
         assert scores_of(serial) == scores_of(parallel)
 
     def test_timeout_kills_hung_cells(self, cells10, baseline10):
         results = run_cells(cells10[:4], ParallelConfig(
-            jobs=2, timeout=1.0, on_error="collect", retry_backoff=0.0,
-            fault_injector=inject_faults("hang", every=2, hang_seconds=30.0)))
+            execution=ExecutionPolicy(jobs=2),
+            faults=FaultPolicy(
+                timeout=1.0, on_error="collect", retry_backoff=0.0,
+                fault_injector=inject_faults("hang", every=2,
+                                             hang_seconds=30.0))))
         assert kinds_of(results) == ["ok", "timeout", "ok", "timeout"]
         for failure in (results[1], results[3]):
             assert failure.attempts == 1
@@ -239,16 +247,21 @@ class TestPoolFaults:
         # Timeouts cannot be enforced in-process, so jobs=1 + timeout
         # routes through a single-worker pool — still bit-identical.
         results = run_cells(cells10[:4], ParallelConfig(
-            jobs=1, timeout=1.0, on_error="collect", retry_backoff=0.0,
-            fault_injector=inject_faults("hang", every=4, hang_seconds=30.0)))
+            execution=ExecutionPolicy(jobs=1),
+            faults=FaultPolicy(
+                timeout=1.0, on_error="collect", retry_backoff=0.0,
+                fault_injector=inject_faults("hang", every=4,
+                                             hang_seconds=30.0))))
         assert kinds_of(results) == ["ok", "ok", "ok", "timeout"]
         for index in range(3):
             assert results[index].test_mse == baseline10[index].test_mse
 
     def test_broken_pool_recovers_bit_identically(self, cells10, baseline10):
         results = run_cells(cells10[:4], ParallelConfig(
-            jobs=2, retries=1, retry_backoff=0.0,
-            fault_injector=inject_faults("crash", every=2, times=1)))
+            execution=ExecutionPolicy(jobs=2),
+            faults=FaultPolicy(
+                retries=1, retry_backoff=0.0,
+                fault_injector=inject_faults("crash", every=2, times=1))))
         assert scores_of(results) == scores_of(baseline10[:4])
 
     def test_persistent_crash_spends_only_its_own_budget(self, cells10,
@@ -256,8 +269,10 @@ class TestPoolFaults:
         # Cell 3 kills its worker on every attempt.  Quarantine must keep
         # its pool-mates from losing retries to breaks they didn't cause.
         results = run_cells(cells10[:4], ParallelConfig(
-            jobs=2, retries=1, on_error="collect", retry_backoff=0.0,
-            fault_injector=inject_faults("crash", every=4)))
+            execution=ExecutionPolicy(jobs=2),
+            faults=FaultPolicy(
+                retries=1, on_error="collect", retry_backoff=0.0,
+                fault_injector=inject_faults("crash", every=4))))
         assert kinds_of(results) == ["ok", "ok", "ok", "broken-pool"]
         assert results[3].attempts == 2
         for index in range(3):
@@ -268,8 +283,10 @@ class TestCheckpointFaults:
     def test_failures_are_journaled(self, cells10, tmp_path):
         path = tmp_path / "cells.pkl"
         run_cells(cells10[:4], ParallelConfig(
-            checkpoint=path, on_error="collect", retry_backoff=0.0,
-            fault_injector=inject_faults("exception", every=4)))
+            checkpoint=path,
+            faults=FaultPolicy(
+                on_error="collect", retry_backoff=0.0,
+                fault_injector=inject_faults("exception", every=4))))
         reloaded = CohortCheckpoint(path)
         assert len(reloaded) == 4
         assert reloaded.failed_keys() == (cells10[3].key,)
@@ -279,8 +296,10 @@ class TestCheckpointFaults:
                                               tmp_path, monkeypatch):
         path = tmp_path / "cells.pkl"
         run_cells(cells10[:4], ParallelConfig(
-            checkpoint=path, on_error="collect", retry_backoff=0.0,
-            fault_injector=inject_faults("exception", every=4)))
+            checkpoint=path,
+            faults=FaultPolicy(
+                on_error="collect", retry_backoff=0.0,
+                fault_injector=inject_faults("exception", every=4))))
 
         import repro.training.parallel as parallel_module
         real = parallel_module.execute_cell

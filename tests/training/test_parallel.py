@@ -9,9 +9,10 @@ import pytest
 from repro.data import PreprocessingPipeline, SynthesisConfig, generate_cohort
 from repro.experiments import PROFILES, make_dataset
 from repro.models import ModelConfig
-from repro.training import (CohortCell, CohortCheckpoint, GraphCache,
-                            ParallelConfig, TrainerConfig, enumerate_cells,
-                            execute_cell, run_cells, run_cohort)
+from repro.training import (CohortCell, CohortCheckpoint, ExecutionPolicy,
+                            GraphCache, ParallelConfig, TrainerConfig,
+                            enumerate_cells, execute_cell, run_cells,
+                            run_cohort)
 
 FAST_MODEL = ModelConfig(hidden_size=8, mtgnn_layers=1, mtgnn_embedding_dim=4)
 FAST_TRAINER = TrainerConfig(epochs=2)
@@ -37,7 +38,7 @@ def mini_cells(cohort, model="a3tgcn", **overrides):
 class TestParallelConfig:
     def test_rejects_zero_jobs(self):
         with pytest.raises(ValueError):
-            ParallelConfig(jobs=0)
+            ParallelConfig(execution=ExecutionPolicy(jobs=0))
 
     def test_checkpoint_path_is_normalized(self, tmp_path):
         config = ParallelConfig(checkpoint=tmp_path / "cells.pkl")
@@ -219,7 +220,8 @@ class TestSerialParallelEquivalence:
                       model_config=config.model, base_seed=config.seed)
         serial = run_cohort(dataset, "a3tgcn", 2, **kwargs)
         parallel = run_cohort(dataset, "a3tgcn", 2, **kwargs,
-                              parallel=ParallelConfig(jobs=2))
+                              parallel=ParallelConfig(
+                                  execution=ExecutionPolicy(jobs=2)))
         assert [r.test_mse for r in serial] == [r.test_mse for r in parallel]
         assert [r.train_mse for r in serial] == [r.train_mse for r in parallel]
 
@@ -229,7 +231,8 @@ class TestSerialParallelEquivalence:
                       model_config=FAST_MODEL, base_seed=7)
         serial = run_cohort(mini_cohort, "a3tgcn", 2, **kwargs)
         parallel = run_cohort(mini_cohort, "a3tgcn", 2, **kwargs,
-                              parallel=ParallelConfig(jobs=2))
+                              parallel=ParallelConfig(
+                                  execution=ExecutionPolicy(jobs=2)))
         assert [r.repeat_scores for r in serial] == \
             [r.repeat_scores for r in parallel]
         assert [r.test_mse for r in serial] == [r.test_mse for r in parallel]

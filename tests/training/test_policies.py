@@ -1,23 +1,16 @@
-"""FaultPolicy/ExecutionPolicy split and the flat-keyword deprecation shim."""
+"""FaultPolicy/ExecutionPolicy split and the retired flat keywords."""
 
+import dataclasses
 import warnings
 
 import pytest
 
 from repro.training import (ExecutionPolicy, FaultPolicy, ParallelConfig,
                             TrainerConfig, run_cohort)
-from repro.training.parallel import _FLAT_KEYWORD_HOMES
-
-
-@pytest.fixture
-def fresh_warning_slate(monkeypatch):
-    """Reset the warn-once registry so each test observes first use."""
-    monkeypatch.setattr("repro.training.parallel._WARNED_FLAT_KEYWORDS",
-                        set())
 
 
 class TestPolicyComposition:
-    def test_policy_form_emits_no_warning(self, fresh_warning_slate):
+    def test_policy_form_emits_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             config = ParallelConfig(
@@ -32,7 +25,7 @@ class TestPolicyComposition:
         assert config.timeout == 5.0
         assert config.on_error == "collect"
 
-    def test_defaults_need_no_policies(self, fresh_warning_slate):
+    def test_defaults_need_no_policies(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             config = ParallelConfig()
@@ -60,76 +53,42 @@ class TestPolicyComposition:
 
 
 class TestFlatKeywordShim:
-    def test_flat_keywords_still_work(self, fresh_warning_slate):
-        with pytest.warns(DeprecationWarning, match="jobs="):
-            config = ParallelConfig(jobs=3, retries=2, on_error="skip")
-        assert config.jobs == 3
-        assert config.retries == 2
-        assert config.on_error == "skip"
-        assert config.execution.jobs == 3
-        assert config.faults.retries == 2
+    """The flat keywords are retired; the flat attribute reads stay."""
 
-    def test_warns_exactly_once_per_keyword(self, fresh_warning_slate):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ParallelConfig(jobs=2)
-            ParallelConfig(jobs=4)
-            ParallelConfig(jobs=8)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "jobs=" in str(deprecations[0].message)
-        assert "ExecutionPolicy.jobs" in str(deprecations[0].message)
+    @pytest.mark.parametrize("flat", [{"jobs": 2}, {"retries": 1},
+                                      {"backend": "stacked"},
+                                      {"fault_injector": None}])
+    def test_flat_keywords_are_rejected(self, flat):
+        with pytest.raises(TypeError):
+            ParallelConfig(**flat)
 
-    def test_second_keyword_still_gets_its_own_warning(
-            self, fresh_warning_slate):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ParallelConfig(jobs=2)
-            ParallelConfig(retries=1)
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert len(messages) == 2
-        assert "jobs=" in messages[0]
-        assert "retries=" in messages[1]
+    def test_arguments_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            ParallelConfig(ExecutionPolicy())
 
-    def test_flat_validation_still_applies(self, fresh_warning_slate):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError):
-                ParallelConfig(jobs=0)
-            with pytest.raises(ValueError):
-                ParallelConfig(on_error="explode")
-
-    def test_mixing_policy_and_its_flat_keywords_is_an_error(
-            self, fresh_warning_slate):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="execution="):
-                ParallelConfig(jobs=2, execution=ExecutionPolicy(jobs=2))
-            with pytest.raises(TypeError, match="faults="):
-                ParallelConfig(retries=1, faults=FaultPolicy(retries=1))
-
-    def test_cross_policy_mixing_is_fine(self, fresh_warning_slate):
-        # Flat fault keywords alongside an explicit ExecutionPolicy (and
-        # vice versa) are unambiguous — only same-policy overlap errors.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            config = ParallelConfig(retries=1,
-                                    execution=ExecutionPolicy(jobs=2))
-        assert config.jobs == 2
-        assert config.retries == 1
+    def test_mixing_policy_and_its_flat_keywords_is_an_error(self):
+        with pytest.raises(TypeError, match="jobs"):
+            ParallelConfig(jobs=2, execution=ExecutionPolicy(jobs=2))
+        with pytest.raises(TypeError, match="retries"):
+            ParallelConfig(retries=1, faults=FaultPolicy(retries=1))
 
     def test_every_flat_keyword_is_mapped(self):
-        assert set(_FLAT_KEYWORD_HOMES) == {
+        """Each flat attribute read delegates to its owning policy."""
+        config = ParallelConfig(
+            execution=ExecutionPolicy(jobs=3, backend="stacked",
+                                      stack_size=5),
+            faults=FaultPolicy(retries=2, timeout=4.0, on_error="skip",
+                               retry_backoff=0.0, divergence_reseed=False))
+        names = set()
+        for policy in (config.execution, config.faults):
+            for field in dataclasses.fields(policy):
+                assert getattr(config, field.name) == \
+                    getattr(policy, field.name)
+                names.add(field.name)
+        assert names == {
             "jobs", "backend", "stack_size", "retries", "timeout",
             "on_error", "retry_backoff", "divergence_reseed",
             "fault_injector"}
-
-    def test_lint_rule_mirrors_the_shim_mapping(self):
-        from repro.analysis.lint import _FLAT_PARALLEL_KEYWORDS
-
-        assert _FLAT_PARALLEL_KEYWORDS == _FLAT_KEYWORD_HOMES
 
 
 class TestSchedulerIntegration:

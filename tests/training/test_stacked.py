@@ -13,8 +13,9 @@ import pytest
 from repro.autodiff import set_default_dtype
 from repro.data.containers import EMADataset, Individual
 from repro.models import ModelConfig
-from repro.training import (ParallelConfig, TrainerConfig, run_cohort,
-                            stackable_reason)
+from repro.optim.adam import _reference_step
+from repro.training import (ExecutionPolicy, FaultPolicy, ParallelConfig,
+                            TrainerConfig, run_cohort, stackable_reason)
 from repro.training.callbacks import CallbackSpec
 from repro.training.personalized import enumerate_cells
 
@@ -39,12 +40,12 @@ def make_cohort(num_individuals=3, num_variables=5, time_points=50,
 
 
 def run_both(cohort, model, trainer_config, seq_len=2, stack_size=32,
-             parallel_kwargs=None, **kw):
+             faults=None, **kw):
     results = []
     for backend in ("process", "stacked"):
-        parallel = ParallelConfig(jobs=1, backend=backend,
-                                  stack_size=stack_size,
-                                  **(parallel_kwargs or {}))
+        parallel = ParallelConfig(
+            execution=ExecutionPolicy(backend=backend, stack_size=stack_size),
+            faults=faults)
         results.append(run_cohort(cohort, model, seq_len,
                                   trainer_config=trainer_config,
                                   model_config=FAST_MODEL,
@@ -146,7 +147,8 @@ class TestJitReplay:
         jitted_config = dataclasses.replace(trainer_config, jit=True)
         results = []
         for config in (trainer_config, jitted_config):
-            parallel = ParallelConfig(jobs=1, backend="stacked")
+            parallel = ParallelConfig(
+                execution=ExecutionPolicy(backend="stacked"))
             results.append(run_cohort(cohort, model, 2,
                                       trainer_config=config,
                                       model_config=FAST_MODEL,
@@ -190,11 +192,11 @@ class TestJitReplay:
         config = TrainerConfig(epochs=4, jit=True)
         serial = run_cohort(cohort, "lstm", 2, trainer_config=config,
                             model_config=FAST_MODEL,
-                            parallel=ParallelConfig(jobs=1))
+                            parallel=ParallelConfig())
         stacked = run_cohort(cohort, "lstm", 2, trainer_config=config,
                              model_config=FAST_MODEL,
-                             parallel=ParallelConfig(jobs=1,
-                                                     backend="stacked"))
+                             parallel=ParallelConfig(
+                                 execution=ExecutionPolicy(backend="stacked")))
         assert_identical(serial, stacked)
 
     def test_huber_stack_falls_back_bitwise(self):
@@ -235,7 +237,7 @@ class TestLaneMasks:
             epochs=8, learning_rate=5.0,
             callbacks=(CallbackSpec.make("divergence-guard"),))
         serial, stacked = run_both(cohort, "lstm", config,
-                                   parallel_kwargs=dict(on_error="collect"))
+                                   faults=FaultPolicy(on_error="collect"))
         assert_identical(serial, stacked)
         assert isinstance(stacked[1], CellFailure)
         assert stacked[1].kind == "divergence"
@@ -250,9 +252,9 @@ class TestLaneMasks:
         cohort = make_cohort(num_individuals=3, ragged=False, scale_one=1)
         config = TrainerConfig(epochs=8, learning_rate=5.0)
         serial, stacked = run_both(cohort, "lstm", config,
-                                   parallel_kwargs=dict(on_error="collect",
-                                                        retries=1,
-                                                        retry_backoff=0.0))
+                                   faults=FaultPolicy(on_error="collect",
+                                                      retries=1,
+                                                      retry_backoff=0.0))
         assert_identical(serial, stacked)
         assert isinstance(stacked[1], CellFailure)
         assert stacked[1].kind == "divergence"
@@ -287,9 +289,10 @@ class TestRouting:
 
     def test_backend_validation(self):
         with pytest.raises(ValueError):
-            ParallelConfig(backend="gpu")
+            ParallelConfig(execution=ExecutionPolicy(backend="gpu"))
         with pytest.raises(ValueError):
-            ParallelConfig(backend="stacked", stack_size=0)
+            ParallelConfig(execution=ExecutionPolicy(backend="stacked",
+                                                     stack_size=0))
 
     def test_stack_failure_falls_back_to_solo(self, monkeypatch):
         # A crash inside the stacked executor must not fail the run: the
@@ -306,11 +309,12 @@ class TestRouting:
             results = run_cohort(
                 cohort, "lstm", 2, trainer_config=TrainerConfig(epochs=2),
                 model_config=FAST_MODEL,
-                parallel=ParallelConfig(jobs=1, backend="stacked"))
+                parallel=ParallelConfig(
+                    execution=ExecutionPolicy(backend="stacked")))
         serial = run_cohort(cohort, "lstm", 2,
                             trainer_config=TrainerConfig(epochs=2),
                             model_config=FAST_MODEL,
-                            parallel=ParallelConfig(jobs=1))
+                            parallel=ParallelConfig())
         assert_identical(serial, results)
 
 
@@ -347,7 +351,7 @@ class TestStackedAdam:
         for _ in range(5):
             self._set_grads(rng, solo, stacked, dtype)
             for solo_opt in solo_opts:
-                solo_opt.step()
+                _reference_step(solo_opt)
             opt.step()
         for i, param in enumerate(stacked):
             for lane in range(lanes):
@@ -368,12 +372,52 @@ class TestStackedAdam:
             self._set_grads(rng, solo, stacked, np.float32)
             for lane, solo_opt in enumerate(solo_opts):
                 if active[lane]:
-                    solo_opt.step()
+                    _reference_step(solo_opt)
             opt.step(active=active)
         for i, param in enumerate(stacked):
             for lane in range(lanes):
                 np.testing.assert_array_equal(param.data[lane],
                                               solo[lane][i].data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+    def test_steps_match_reference_oracle(self, dtype, weight_decay, masked):
+        """Every lane equals a reference-looped solo Adam at every step,
+        across gradless parameters, a change in which parameters carry
+        gradients, and (masked) lanes frozen mid-run with NaN gradients."""
+        from repro.optim import Adam, StackedAdam
+
+        set_default_dtype(np.dtype(dtype).name)
+        rng = np.random.default_rng(3)
+        lanes, shapes = 4, [(3, 4), (4,), (2, 2, 3)]
+        solo, stacked = self._clone_params(rng, lanes, shapes, dtype)
+        solo_opts = [Adam(params, lr=0.05, weight_decay=weight_decay)
+                     for params in solo]
+        opt = StackedAdam(stacked, lr=0.05, weight_decay=weight_decay)
+        active = np.ones(lanes, dtype=bool)
+        for step in range(6):
+            self._set_grads(rng, solo, stacked, dtype)
+            gradless = 1 if step < 3 else 2
+            for params in solo + [stacked]:
+                params[gradless].grad = None
+            if masked and step == 2:
+                active[[1, 3]] = False
+            for param in stacked:
+                if param.grad is not None:
+                    param.grad[~active] = np.nan  # frozen: never read
+            for lane, solo_opt in enumerate(solo_opts):
+                if active[lane]:
+                    _reference_step(solo_opt)
+            opt.step(active=active if masked else None)
+            for i, param in enumerate(stacked):
+                for lane in range(lanes):
+                    np.testing.assert_array_equal(param.data[lane],
+                                                  solo[lane][i].data)
+                    np.testing.assert_array_equal(opt._m[i][lane],
+                                                  solo_opts[lane]._m[i])
+                    np.testing.assert_array_equal(opt._v[i][lane],
+                                                  solo_opts[lane]._v[i])
 
 
 class TestLaneOps:
