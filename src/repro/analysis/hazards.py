@@ -140,6 +140,9 @@ _ENTRIES = (
     Hazard("stack-sparse", "REPRO012",
            "sparse graph propagation (mode {mode!r}) has no stacked "
            "lane-exact form; cell runs per-individual"),
+    Hazard("stack-host-inexact", "REPRO012",
+           "this host's batched lane ops failed the bitwise exactness "
+           "probe; cell runs per-individual"),
 )
 
 HAZARDS: dict[str, Hazard] = {entry.key: entry for entry in _ENTRIES}
@@ -202,7 +205,8 @@ STACKED_OPTIMIZERS = ("adam",)
 #: Losses with a lane-wise (per-row) form identical to the solo reduction.
 STACKED_LOSSES = ("mse", "mae", "huber")
 
-#: Callback specs with a lane-masked handler implementation.
+#: Callback specs a stacked lane can run: their solo hooks read only the
+#: epoch loss and touch weights only through ``state_dict`` round trips.
 LANE_CALLBACKS = ("early-stopping", "divergence-guard")
 
 #: Optimizer kwargs the stacked Adam understands.

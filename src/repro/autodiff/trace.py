@@ -278,45 +278,25 @@ def _fw_where(C, rec):
 
 
 def _fw_lane_matmul(C, rec):
-    from ..nn.stacked_ops import BATCHED_LANES
     xd, wd = C.pbuf(rec.parents[0]), C.pbuf(rec.parents[1])
-    buf = rec.tensor._data
     lanes, in_f, out_f = rec.cv["lanes"], rec.cv["in_f"], rec.cv["out_f"]
-    lane_lead = buf.shape[1:-1]
-    if BATCHED_LANES:
-        out3 = buf.reshape(lanes, -1, out_f)
-        C.add_call(rec, "forward",
-                   lambda: np.matmul(xd.reshape(lanes, -1, in_f), wd,
-                                     out=out3))
-    else:
-        def call():
-            for lane in range(lanes):
-                buf[lane] = (xd[lane].reshape(-1, in_f) @ wd[lane]).reshape(
-                    *lane_lead, out_f)
-        C.add_call(rec, "forward", call)
+    out3 = rec.tensor._data.reshape(lanes, -1, out_f)
+    C.add_call(rec, "forward",
+               lambda: np.matmul(xd.reshape(lanes, -1, in_f), wd, out=out3))
 
 
 def _fw_lane_bias_add(C, rec):
     xd, bd = C.pbuf(rec.parents[0]), C.pbuf(rec.parents[1])
     buf = rec.tensor._data
-    lanes = rec.cv["lanes"]
-    bview = bd.reshape((lanes,) + (1,) * (xd.ndim - 2) + (bd.shape[-1],))
+    bview = bd.reshape((bd.shape[0],) + (1,) * (xd.ndim - 2)
+                       + (bd.shape[-1],))
     C.add_call(rec, "forward", lambda: np.add(xd, bview, out=buf))
 
 
 def _fw_lane_propagate(C, rec):
-    from ..nn.stacked_ops import BATCHED_LANES
     xd, buf = C.pbuf(rec.parents[0]), rec.tensor._data
-    operator, lanes = rec.cv["operator"], rec.cv["lanes"]
-    mix, mix_batched = rec.cv["_mix"], rec.cv["_mix_batched"]
-    if BATCHED_LANES:
-        C.add_call(rec, "forward",
-                   lambda: np.copyto(buf, mix_batched(operator, xd)))
-    else:
-        def call():
-            for lane in range(lanes):
-                buf[lane] = mix(operator[lane], xd[lane])
-        C.add_call(rec, "forward", call)
+    operator, mix = rec.cv["operator"], rec.cv["_mix_batched"]
+    C.add_call(rec, "forward", lambda: np.copyto(buf, mix(operator, xd)))
 
 
 def _fw_csr_matmul(C, rec):
@@ -515,73 +495,31 @@ def _bw_where(C, rec):
 
 
 def _bw_lane_matmul(C, rec):
-    from ..nn.stacked_ops import BATCHED_LANES
     xd, wd = C.pbuf(rec.parents[0]), C.pbuf(rec.parents[1])
     lanes, in_f, out_f = rec.cv["lanes"], rec.cv["in_f"], rec.cv["out_f"]
-    lane_shape = rec.cv["lane_shape"]
     g2 = C.gbuf(rec).reshape(lanes, -1, out_f)
     if C.takes_grad(rec.parents[0]):
-        if BATCHED_LANES:
-            C.acc_fn(rec, rec.parents[0],
-                     lambda: np.matmul(g2, wd.swapaxes(-1, -2)).reshape(
-                         xd.shape))
-        else:
-            def fn():
-                gx = np.empty(xd.shape, dtype=np.result_type(g2, wd))
-                for lane in range(lanes):
-                    gx[lane] = (g2[lane] @ wd[lane].T).reshape(lane_shape)
-                return gx
-            C.acc_fn(rec, rec.parents[0], fn)
+        C.acc_fn(rec, rec.parents[0],
+                 lambda: np.matmul(g2, wd.swapaxes(-1, -2)).reshape(
+                     xd.shape))
     if C.takes_grad(rec.parents[1]):
-        if BATCHED_LANES:
-            C.acc_fn(rec, rec.parents[1],
-                     lambda: np.matmul(
-                         xd.reshape(lanes, -1, in_f).swapaxes(-1, -2), g2))
-        else:
-            def fn():
-                x2 = xd.reshape(lanes, -1, in_f)
-                gw = np.empty(wd.shape, dtype=np.result_type(xd, g2))
-                for lane in range(lanes):
-                    gw[lane] = x2[lane].T @ g2[lane]
-                return gw
-            C.acc_fn(rec, rec.parents[1], fn)
+        C.acc_fn(rec, rec.parents[1],
+                 lambda: np.matmul(
+                     xd.reshape(lanes, -1, in_f).swapaxes(-1, -2), g2))
 
 
 def _bw_lane_bias_add(C, rec):
-    from ..nn.stacked_ops import BATCHED_LANES
-    g = C.gbuf(rec)
-    bd = C.pbuf(rec.parents[1])
-    lanes = rec.cv["lanes"]
-    batched_axes, reduce_axes = rec.cv["batched_axes"], rec.cv["reduce_axes"]
+    g, batched_axes = C.gbuf(rec), rec.cv["batched_axes"]
     if C.takes_grad(rec.parents[0]):
         C.acc_array(rec, rec.parents[0], g)
     if C.takes_grad(rec.parents[1]):
-        if BATCHED_LANES:
-            C.acc_fn(rec, rec.parents[1], lambda: g.sum(axis=batched_axes))
-        else:
-            def fn():
-                gb = np.empty(bd.shape, dtype=g.dtype)
-                for lane in range(lanes):
-                    gb[lane] = g[lane].sum(axis=reduce_axes)
-                return gb
-            C.acc_fn(rec, rec.parents[1], fn)
+        C.acc_fn(rec, rec.parents[1], lambda: g.sum(axis=batched_axes))
 
 
 def _bw_lane_propagate(C, rec):
-    from ..nn.stacked_ops import BATCHED_LANES
-    g, xd = C.gbuf(rec), C.pbuf(rec.parents[0])
-    operator, lanes = rec.cv["operator"], rec.cv["lanes"]
-    mix, mix_batched = rec.cv["_mix"], rec.cv["_mix_batched"]
-    if BATCHED_LANES:
-        C.acc_fn(rec, rec.parents[0],
-                 lambda: mix_batched(operator.swapaxes(-1, -2), g))
-    else:
-        def fn():
-            gx = np.empty(xd.shape, dtype=np.result_type(operator, g))
-            for lane in range(lanes):
-                gx[lane] = mix(operator[lane].T, g[lane])
-            return gx
-        C.acc_fn(rec, rec.parents[0], fn)
+    g = C.gbuf(rec)
+    operator, mix = rec.cv["operator"], rec.cv["_mix_batched"]
+    C.acc_fn(rec, rec.parents[0], lambda: mix(operator.swapaxes(-1, -2), g))
 
 
 def _bw_csr_matmul(C, rec):

@@ -26,7 +26,8 @@ from .sparse import CSRMatrix, csr_matmul, should_use_sparse
 from .stacked_ops import lane_affine, lane_propagate
 
 __all__ = ["GCNConv", "ChebConv", "MixHopPropagation", "GraphLearner",
-           "scaled_laplacian", "gcn_conv_stacked", "cheb_conv_stacked"]
+           "scaled_laplacian", "gcn_routes_sparse", "gcn_conv_stacked",
+           "cheb_conv_stacked"]
 
 
 def scaled_laplacian(adjacency: np.ndarray) -> np.ndarray:
@@ -46,6 +47,23 @@ def scaled_laplacian(adjacency: np.ndarray) -> np.ndarray:
         # Empty graph: Laplacian is 0 (isolated, no self loops) -> use -I.
         return -np.eye(a.shape[0])
     return 2.0 * laplacian / lam_max - np.eye(a.shape[0])
+
+
+def gcn_routes_sparse(adjacency: np.ndarray, dtype,
+                      mode: str | None = None) -> bool:
+    """Whether a :class:`GCNConv` over ``adjacency`` propagates sparse.
+
+    The operator ``D^{-1/2}(A+I)D^{-1/2}`` has the zero pattern of ``A``
+    plus the self-loop diagonal; its structural density goes to the
+    autoswitch (:func:`repro.nn.sparse.should_use_sparse`) with
+    ``dtype`` and ``mode`` (default: the process-wide sparse mode).  The
+    one routing predicate for the solo layer, the stacked trainer and
+    the serving engine.
+    """
+    graph = np.asarray(adjacency)
+    nodes = graph.shape[0]
+    nnz = int(np.count_nonzero((graph != 0) | np.eye(nodes, dtype=bool)))
+    return should_use_sparse(nodes, nnz / (nodes * nodes), dtype, mode)
 
 
 class GCNConv(Module):
@@ -73,18 +91,16 @@ class GCNConv(Module):
         runs once per distinct adjacency instead of once per model.
 
         The dense/sparse routing decision is made here, once per graph
-        swap rather than per forward: if the autoswitch
-        (:func:`repro.nn.sparse.should_use_sparse`, honoring the
-        process-wide sparse mode) routes sparse, the CSR factorization of
-        the *same* cached operator is fetched and propagation runs
-        through :func:`repro.nn.sparse.csr_matmul`.
+        swap rather than per forward: if :func:`gcn_routes_sparse` routes
+        sparse, the CSR factorization of the *same* cached operator is
+        fetched and propagation runs through
+        :func:`repro.nn.sparse.csr_matmul`.
         """
         dense = cached_normalized_adjacency(adjacency)
         self._propagation = Tensor(dense)
         self.num_nodes = dense.shape[0]
         self._sparse = None
-        density = np.count_nonzero(dense) / dense.size
-        if should_use_sparse(self.num_nodes, density, dense.dtype):
+        if gcn_routes_sparse(adjacency, dense.dtype):
             self._sparse = cached_sparse_normalized(adjacency)
 
     def forward(self, x: Tensor) -> Tensor:

@@ -32,18 +32,20 @@ Bit-exactness contract (asserted end-to-end in ``tests/training``):
   (``(V, V) @ (..., V, C)``) per lane over a constant ``(K, V, V)``
   operator stack.
 
-Batched fast path
------------------
-``np.matmul`` on ``(K, m, n) @ (K, n, p)`` stacks dispatches one BLAS
-GEMM per 2-D slice — the *same* GEMM, on slices with the same values and
-strides, that the per-lane Python loop issues — so its output is bitwise
-identical while the ``K``-iteration loop moves from Python into C.  The
-same holds for a middle-axis ``sum`` versus per-lane leading-axis sums.
-Because that equivalence is a property of the host numpy/BLAS build and
-not of IEEE arithmetic, it is **probed at import time** over every
+Batched lanes and the exactness probe
+-------------------------------------
+Every op issues its ``K`` per-lane GEMMs as one batched ``np.matmul`` on
+``(K, m, n) @ (K, n, p)`` stacks, which dispatches one BLAS GEMM per 2-D
+slice — the *same* GEMM, on slices with the same values and strides, that
+a per-lane loop would issue — and its bias reduction as one middle-axis
+``sum``.  That equivalence is a property of the host numpy/BLAS build,
+not of IEEE arithmetic, so it is **probed at import time** over every
 operand pattern these ops use (contiguous, transposed-view, float32 and
-float64); any mismatch drops the module back to the per-lane reference
-loops.  The probe verdict is exposed as :data:`BATCHED_LANES`.
+float64) against explicit per-lane loops.  The verdict,
+:data:`BATCHED_LANES`, gates eligibility rather than selecting a code
+path: on a host that fails it, :func:`repro.training.stacked.lane_reason`
+blocks every stack and the serving engine serves eagerly, so all work
+runs the bitwise-correct solo path.
 """
 
 from __future__ import annotations
@@ -106,9 +108,8 @@ def lane_matmul(x: Tensor, wt: Tensor) -> Tensor:
     ``x`` is ``(K, ..., F_in)`` and ``wt`` is ``(K, F_in, F_out)`` —
     typically a fresh ``weight.swapaxes(-1, -2)`` node (see
     :func:`lane_affine`).  Forward and backward run the exact GEMMs of the
-    solo ``(..., F_in) @ (F_in, F_out)`` matmul branch, once per lane —
-    through one batched ``np.matmul`` when :data:`BATCHED_LANES` holds,
-    through an explicit Python loop otherwise.
+    solo ``(..., F_in) @ (F_in, F_out)`` matmul branch, once per lane,
+    through one batched ``np.matmul``.
     """
     xd, wd = x.data, wt.data
     if xd.shape[0] != wd.shape[0]:
@@ -119,38 +120,19 @@ def lane_matmul(x: Tensor, wt: Tensor) -> Tensor:
     lanes = xd.shape[0]
     in_f = xd.shape[-1]
     out_f = wd.shape[-1]
-    lane_lead = xd.shape[1:-1]
-    lane_shape = xd.shape[1:]
-    out_shape = (lanes,) + lane_lead + (out_f,)
-    if BATCHED_LANES:
-        out = np.matmul(xd.reshape(lanes, -1, in_f), wd).reshape(out_shape)
-    else:
-        out = np.empty(out_shape, dtype=np.result_type(xd, wd))
-        for k in range(lanes):
-            out[k] = (xd[k].reshape(-1, in_f) @ wd[k]).reshape(
-                *lane_lead, out_f)
+    out_shape = (lanes,) + xd.shape[1:-1] + (out_f,)
+    out = np.matmul(xd.reshape(lanes, -1, in_f), wd).reshape(out_shape)
 
     def lane_matmul_backward(grad: np.ndarray) -> None:
         grad2 = grad.reshape(lanes, -1, out_f)
         if x.requires_grad:
-            if BATCHED_LANES:
-                # wd.swapaxes is the strided view of the base weight rows,
-                # exactly the layout the solo backward sees for b.T.
-                gx = np.matmul(grad2, wd.swapaxes(-1, -2)).reshape(xd.shape)
-            else:
-                gx = np.empty(xd.shape, dtype=np.result_type(grad, wd))
-                for k in range(lanes):
-                    gx[k] = (grad2[k] @ wd[k].T).reshape(lane_shape)
-            x._accumulate(gx)
+            # wd.swapaxes is the strided view of the base weight rows,
+            # exactly the layout the solo backward sees for b.T.
+            x._accumulate(
+                np.matmul(grad2, wd.swapaxes(-1, -2)).reshape(xd.shape))
         if wt.requires_grad:
-            x2 = xd.reshape(lanes, -1, in_f)
-            if BATCHED_LANES:
-                gw = np.matmul(x2.swapaxes(-1, -2), grad2)
-            else:
-                gw = np.empty(wd.shape, dtype=np.result_type(xd, grad))
-                for k in range(lanes):
-                    gw[k] = x2[k].T @ grad2[k]
-            wt._accumulate(gw)
+            wt._accumulate(np.matmul(
+                xd.reshape(lanes, -1, in_f).swapaxes(-1, -2), grad2))
 
     return Tensor._make(out, (x, wt), lane_matmul_backward)
 
@@ -169,20 +151,13 @@ def lane_bias_add(x: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"lane_bias_add got {xd.shape} + {bd.shape}")
     lanes = xd.shape[0]
     out = xd + bd.reshape((lanes,) + (1,) * (xd.ndim - 2) + (bd.shape[-1],))
-    reduce_axes = tuple(range(xd.ndim - 2))
     batched_axes = tuple(range(1, xd.ndim - 1))
 
     def lane_bias_add_backward(grad: np.ndarray) -> None:
         if x.requires_grad:
             x._accumulate(grad)
         if bias.requires_grad:
-            if BATCHED_LANES:
-                gb = grad.sum(axis=batched_axes)
-            else:
-                gb = np.empty(bd.shape, dtype=grad.dtype)
-                for k in range(lanes):
-                    gb[k] = grad[k].sum(axis=reduce_axes)
-            bias._accumulate(gb)
+            bias._accumulate(grad.sum(axis=batched_axes))
 
     return Tensor._make(out, (x, bias), lane_bias_add_backward)
 
@@ -208,8 +183,8 @@ def lane_propagate(operator: np.ndarray, x: Tensor) -> Tensor:
     ``operator`` is a constant ``(K, V, V)`` stack (e.g. from
     :func:`repro.nn.graphcache.cached_stacked_adjacency`); ``x`` is
     ``(K, ..., V, C)``.  Forward and backward mirror the solo
-    ``(V, V) @ (..., V, C)`` matmul branch (the ``_mix`` flatten-to-one-
-    GEMM trick) once per lane; the operator is never differentiated.
+    ``(V, V) @ (..., V, C)`` matmul branch (the flatten-to-one-GEMM
+    trick) once per lane; the operator is never differentiated.
     """
     xd = x.data
     if operator.ndim != 3 or operator.shape[0] != xd.shape[0]:
@@ -219,21 +194,12 @@ def lane_propagate(operator: np.ndarray, x: Tensor) -> Tensor:
         raise ValueError(f"lane_propagate got {operator.shape} @ {xd.shape}")
     lanes = xd.shape[0]
     batch_shape = xd.shape[1:-2]
-    nodes = operator.shape[-2]
-    out_shape = xd.shape[:-2] + (nodes, xd.shape[-1])
-
-    def _mix(matrix: np.ndarray, operand: np.ndarray) -> np.ndarray:
-        moved = np.moveaxis(operand, -2, 0).reshape(operand.shape[-2], -1)
-        mixed = matrix @ moved
-        mixed = mixed.reshape(matrix.shape[0], *batch_shape,
-                              operand.shape[-1])
-        return np.moveaxis(mixed, 0, -2)
 
     def _mix_batched(matrices: np.ndarray, operand: np.ndarray) -> np.ndarray:
         # moveaxis + C-order reshape copies element-for-element what the
-        # per-lane _mix copies, so each 2-D GEMM sees identical operands;
-        # ascontiguousarray rebuilds the solo output layout so downstream
-        # reductions reduce in the same memory order.
+        # solo matmul branch copies per lane, so each 2-D GEMM sees
+        # identical operands; ascontiguousarray rebuilds the solo output
+        # layout so downstream reductions reduce in the same memory order.
         moved = np.moveaxis(operand, -2, 1).reshape(
             lanes, operand.shape[-2], -1)
         mixed = np.matmul(matrices, moved)
@@ -241,20 +207,9 @@ def lane_propagate(operator: np.ndarray, x: Tensor) -> Tensor:
                               operand.shape[-1])
         return np.ascontiguousarray(np.moveaxis(mixed, 1, -2))
 
-    if BATCHED_LANES:
-        out = _mix_batched(operator, xd)
-    else:
-        out = np.empty(out_shape, dtype=np.result_type(operator, xd))
-        for k in range(lanes):
-            out[k] = _mix(operator[k], xd[k])
+    out = _mix_batched(operator, xd)
 
     def lane_propagate_backward(grad: np.ndarray) -> None:
-        if BATCHED_LANES:
-            gx = _mix_batched(operator.swapaxes(-1, -2), grad)
-        else:
-            gx = np.empty(xd.shape, dtype=np.result_type(operator, grad))
-            for k in range(lanes):
-                gx[k] = _mix(operator[k].T, grad[k])
-        x._accumulate(gx)
+        x._accumulate(_mix_batched(operator.swapaxes(-1, -2), grad))
 
     return Tensor._make(out, (x,), lane_propagate_backward)

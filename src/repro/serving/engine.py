@@ -13,14 +13,16 @@ The engine therefore mirrors :mod:`repro.training.stacked`, forward-only:
 * requests are micro-batched (a queue with a max batch size and a max
   linger, like any serving stack's batching window),
 * a flush groups pending requests by shard — the same grouping key the
-  stacked trainer uses for lanes — and replays the PR-6 lane forwards
-  (``_forward_lstm`` / ``_forward_tgcn`` / ``_forward_a3tgcn``) under
+  stacked trainer uses for lanes — and runs the trainer's own lane
+  forward (:func:`repro.training.stacked.lane_forward`) under
   ``no_grad`` with dropout disabled, which makes every batched forecast
   **bitwise identical** to the individual's solo ``predict``,
-* models outside the stackable set (or shards whose stored fast-path
-  verdict says no) take the eager per-request path, and a batched
-  forward that throws falls back to per-request eager execution so one
-  poisoned request cannot take down its batch,
+* models outside the stackable set, shards whose stored fast-path
+  verdict says no, and shards the trainer's lane checks
+  (:func:`repro.training.stacked.lane_reason`: the host exactness probe,
+  sparse-routed graphs) would block take the eager per-request path, and
+  a batched forward that throws falls back to per-request eager
+  execution so one poisoned request cannot take down its batch,
 * failures are per-request structured records in the PR-5
   :class:`~repro.training.faults.CellFailure` vocabulary — a timed-out
   or exploding request yields a :class:`RequestFailure`, never an
@@ -40,10 +42,9 @@ import numpy as np
 
 from ..autodiff import get_default_dtype, no_grad, set_default_dtype
 from ..autodiff.tensor import Tensor
-from ..nn.graphcache import cached_stacked_adjacency
+from ..nn.sparse import get_sparse_mode
 from ..training.faults import describe_exception
-from ..training.stacked import (STACKED_MODELS, _forward_a3tgcn,
-                                _forward_lstm, _forward_tgcn)
+from ..training.stacked import STACKED_MODELS, lane_forward, lane_reason
 from .store import CohortArtifact, CohortShard
 
 __all__ = ["ForecastRequest", "ForecastResponse", "RequestFailure",
@@ -158,7 +159,7 @@ class InferenceEngine:
                     shard.model_name)
         self._pending: "list[ForecastRequest]" = []
         self._solo_cache: "dict[tuple[str, str], object]" = {}
-        self._sparse_verdicts: "dict[tuple, bool]" = {}
+        self._lane_verdicts: "dict[tuple, bool]" = {}
         self._seq = itertools.count()
         self.stats = {"submitted": 0, "served": 0, "batched": 0,
                       "eager": 0, "failed": 0, "flushes": 0}
@@ -337,39 +338,18 @@ class InferenceEngine:
         if shard.verdict is not None and not shard.verdict.get("stackable",
                                                                True):
             return False
-        if shard.model_name != "lstm" and self._sparse_routed(shard):
-            return False
-        return True
-
-    def _sparse_routed(self, shard: CohortShard) -> bool:
-        """Whether any of the shard's graphs routes through the CSR path.
-
-        The batched lane forward is dense-only, while a solo model routes
-        per the sparse autoswitch; mixing the two would break the
-        solo == batched bitwise contract, so such shards serve eagerly.
-        Memoized per (shard, mode): the verdict depends only on the
-        stored graphs and the process-wide sparse mode.
-        """
-        from ..nn.sparse import get_sparse_mode, should_use_sparse
-
+        # Memoized per (shard, mode): the lane checks depend only on the
+        # stored graphs, the host probe and the process-wide sparse mode.
         mode = get_sparse_mode()
-        if mode == "never":
-            return False
         key = (shard.version, shard.model_name, shard.dtype, mode)
-        cached = self._sparse_verdicts.get(key)
-        if cached is None:
-            cached = False
-            for artifact in shard.artifacts.values():
-                if artifact.adjacency is None:
-                    continue
-                graph = np.asarray(artifact.adjacency)
-                v = graph.shape[0]
-                nnz = np.count_nonzero((graph != 0) | np.eye(v, dtype=bool))
-                if should_use_sparse(v, nnz / (v * v), shard.dtype, mode):
-                    cached = True
-                    break
-            self._sparse_verdicts[key] = cached
-        return cached
+        verdict = self._lane_verdicts.get(key)
+        if verdict is None:
+            verdict = lane_reason(
+                shard.model_name,
+                [artifact.adjacency for artifact in shard.artifacts.values()],
+                shard.dtype, mode) is None
+            self._lane_verdicts[key] = verdict
+        return verdict
 
     def _run_group(self, shard: CohortShard,
                    requests: "list[ForecastRequest]") -> "list":
@@ -428,22 +408,11 @@ class InferenceEngine:
             for name in per_model[0])
         # (K, 1, L, V): each request is one sample in its lane.
         inputs = np.stack([request.window[None] for request in requests])
-        hidden_size = models[0].hidden_size
+        forward, _ = lane_forward(
+            shard.model_name, models[0],
+            [artifact.adjacency for artifact in artifacts], samples=1)
         with no_grad():
-            if shard.model_name == "a3tgcn":
-                propagation = cached_stacked_adjacency(
-                    [artifact.adjacency for artifact in artifacts])
-                out = _forward_a3tgcn(params, propagation, inputs,
-                                      hidden_size, shard.seq_len, None)
-            elif shard.model_name == "tgcn":
-                propagation = cached_stacked_adjacency(
-                    [artifact.adjacency for artifact in artifacts])
-                out = _forward_tgcn(params, propagation, inputs,
-                                    hidden_size, shard.seq_len, None)
-            else:
-                out = _forward_lstm(params, inputs, hidden_size,
-                                    shard.seq_len,
-                                    models[0].lstm.num_layers, None)
+            out = forward(params, inputs, None)
         data = out.data  # (K, 1, V)
         elapsed = time.monotonic() - start
         self.stats["batched"] += len(requests)

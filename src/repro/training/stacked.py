@@ -26,19 +26,24 @@ executor therefore mirrors the solo path *operation by operation*:
 * :class:`~repro.optim.adam.StackedAdam` runs solo Adam's flat-buffer
   update over all lane rows, with a lane mask to freeze early-stopped
   lanes;
-* per-lane early-stopping / divergence-guard handlers replay the solo
-  callbacks' decision logic (same thresholds, same snapshot/restore
-  points), so a lane stops at exactly the epoch its solo fit would.
+* every lane runs the *solo* callbacks (:func:`build_callbacks` over the
+  same specs) against its own :class:`TrainingContext`, whose model is a
+  view over that lane's parameter rows, so a lane stops at exactly the
+  epoch its solo fit would and restores exactly the weights it would.
 
-The bit-identity is asserted end-to-end in ``tests/training`` /
-``test_stacked.py``; the documented escape hatch (DESIGN.md) is a small
-float tolerance should a platform's multi-axis reduction order differ.
+:func:`lane_forward` is the one stacked forward per model; the serving
+engine (:mod:`repro.serving.engine`) runs the same function under
+``no_grad``.  The bit-identity is asserted end-to-end in
+``tests/training`` / ``test_stacked.py``.
 
 Eligibility and fallback
 ------------------------
 Not every cell can stack: :func:`stackable_reason` names the blocker
 (model without a stacked forward, non-Adam optimizer, exotic callbacks,
-learned-graph export, ...).  :func:`run_stacked` trains the eligible
+learned-graph export, a graph that routes sparse, ...).  A host whose
+batched lane ops fail the import-time exactness probe of
+:mod:`repro.nn.stacked_ops` stacks nothing: every cell then runs the
+bitwise-correct solo path.  :func:`run_stacked` trains the eligible
 cells in stacks grouped by (model, seq_len, dtype, data shape, config)
 and returns the rest — plus any stack that failed or diverged — as
 *leftover* indices for the ordinary per-individual path, which keeps its
@@ -53,6 +58,7 @@ import contextlib
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -67,11 +73,13 @@ from ..analysis.hazards import (LANE_CALLBACKS as _LANE_CALLBACKS,
 from ..autodiff import (Tensor, concat, get_default_dtype, no_grad,
                         set_default_dtype, softmax, stack, where)
 from ..data.splits import split_windows
-from ..models import create_model
-from ..nn import gcn_conv_stacked, lane_affine
+from ..models import MODEL_REGISTRY, create_model
+from ..nn import gcn_conv_stacked, lane_affine, stacked_ops
+from ..nn.graph import gcn_routes_sparse
 from ..nn.graphcache import cached_stacked_adjacency
 from ..nn.module import Parameter
 from ..optim import StackedAdam
+from .callbacks import TrainingContext, build_callbacks
 from .faults import is_divergent
 from .history import TrainingHistory
 from .personalized import (IndividualResult, aggregate_repeats,
@@ -81,7 +89,8 @@ from .trainer import Trainer, TrainerConfig
 if TYPE_CHECKING:
     from .parallel import CohortCell, ParallelConfig
 
-__all__ = ["stackable_reason", "run_stacked", "STACKED_MODELS"]
+__all__ = ["stackable_reason", "run_stacked", "lane_forward", "lane_reason",
+           "STACKED_MODELS"]
 
 # The eligibility tables (STACKED_MODELS, lane-wise losses/callbacks,
 # stacked-Adam kwargs) live in :mod:`repro.analysis.hazards` so the static
@@ -113,27 +122,9 @@ def stackable_reason(cell: "CohortCell") -> str | None:
                          - set(_LANE_CALLBACKS))
     if unsupported:
         return _reason("stack-callbacks", unsupported=unsupported)
-    mode = getattr(cell, "sparse", "auto")
-    if cell.model_name != "lstm" and mode != "never":
-        # The stacked lane ops are dense-only; a cell whose graph would
-        # route through the CSR path in solo execution must stay solo, or
-        # the solo == stacked bitwise contract would compare a sparse
-        # forward against a dense one.
-        from ..nn.sparse import should_use_sparse
-
-        # Static probes (analysis.fastpath) carry no graphs: routing is
-        # then a per-cell runtime property, not a model-level blocker.
-        for graph in getattr(cell, "graphs", ()):
-            if graph is None:
-                continue
-            graph = np.asarray(graph)
-            v = graph.shape[0]
-            # Zero pattern of the normalized GCN propagation operator:
-            # the graph's nonzeros plus the self-loop diagonal.
-            nnz = np.count_nonzero((graph != 0) | np.eye(v, dtype=bool))
-            if should_use_sparse(v, nnz / (v * v), cell.dtype, mode):
-                return _reason("stack-sparse", mode=mode)
-    return None
+    return lane_reason(cell.model_name, getattr(cell, "graphs", ()),
+                       getattr(cell, "dtype", None),
+                       getattr(cell, "sparse", "auto"))
 
 
 def _group_key(cell: "CohortCell") -> tuple:
@@ -163,97 +154,28 @@ class _Lane:
     seed: int
 
 
-@dataclass
-class _LaneState:
-    """Per-lane mirror of :class:`~repro.training.callbacks.TrainingContext`.
+class _LaneView:
+    """One lane's rows of the stacked parameters, as a solo model.
 
-    Only the fields the lane handlers consult; ``request_stop`` keeps the
-    solo first-reason-wins semantics.
+    The ``model`` of a lane's :class:`TrainingContext`: the solo
+    callbacks snapshot and restore weights through it exactly as they do
+    through a :class:`~repro.nn.module.Module`, touching only this lane.
     """
 
-    lane: int
-    epoch: int = 0
-    stop_requested: bool = False
-    stop_reason: str | None = None
+    def __init__(self, params: "OrderedDict[str, Parameter]", lane: int):
+        self._params = params
+        self._lane = lane
 
-    def request_stop(self, reason: str) -> None:
-        self.stop_requested = True
-        if self.stop_reason is None:
-            self.stop_reason = reason
+    def state_dict(self) -> "OrderedDict[str, np.ndarray]":
+        return OrderedDict((name, param.data[self._lane].copy())
+                           for name, param in self._params.items())
 
-
-class _LaneEarlyStopping:
-    """Lane replay of :class:`~repro.training.callbacks.EarlyStopping`.
-
-    Same improvement test, staleness counter, stop message and
-    restore-at-fit-end condition; snapshots/restores touch only this
-    lane's parameter rows.
-    """
-
-    def __init__(self, snapshot: Callable, restore: Callable,
-                 patience: int = 20, min_delta: float = 0.0,
-                 restore_best: bool = True):
-        self._snapshot = snapshot
-        self._restore = restore
-        self.patience = patience
-        self.min_delta = min_delta
-        self.restore_best = restore_best
-        self.best_loss = float("inf")
-        self.best_epoch = -1
-        self._best_state: dict | None = None
-        self._stale = 0
-
-    def on_epoch_end(self, state: _LaneState, loss: float) -> None:
-        if loss < self.best_loss - self.min_delta:
-            self.best_loss = loss
-            self.best_epoch = state.epoch
-            self._stale = 0
-            if self.restore_best:
-                self._best_state = self._snapshot(state.lane)
-            return
-        self._stale += 1
-        if self._stale >= self.patience:
-            state.request_stop(
-                f"early stop: no improvement for {self.patience} epochs "
-                f"(best {self.best_loss:.6g} at epoch {self.best_epoch})")
-
-    def on_fit_end(self, state: _LaneState) -> None:
-        if self.restore_best and self._best_state is not None \
-                and state.epoch != self.best_epoch:
-            self._restore(state.lane, self._best_state)
-
-
-class _LaneDivergenceGuard:
-    """Lane replay of :class:`~repro.training.callbacks.DivergenceGuard`."""
-
-    def __init__(self, snapshot: Callable, restore: Callable):
-        self._snapshot = snapshot
-        self._restore = restore
-        self.best_loss = float("inf")
-        self._best_state: dict | None = None
-        self.tripped = False
-
-    def on_epoch_end(self, state: _LaneState, loss: float) -> None:
-        if np.isfinite(loss):
-            if loss < self.best_loss:
-                self.best_loss = loss
-                self._best_state = self._snapshot(state.lane)
-            return
-        self.tripped = True
-        if self._best_state is not None:
-            self._restore(state.lane, self._best_state)
-        state.request_stop(
-            f"divergence: non-finite loss at epoch {state.epoch}"
-            + ("" if self._best_state is None
-               else f"; restored weights of loss {self.best_loss:.6g}"))
-
-    def on_fit_end(self, state: _LaneState) -> None: ...
-
-
-_LANE_HANDLERS = {
-    "early-stopping": _LaneEarlyStopping,
-    "divergence-guard": _LaneDivergenceGuard,
-}
+    def load_state_dict(self, state: dict) -> None:
+        with no_grad():
+            for name, param in self._params.items():
+                data = param.data
+                data[self._lane] = state[name]
+                param.data = data  # reassign to bump the version counter
 
 
 def _lane_losses(prediction: Tensor, targets: np.ndarray,
@@ -325,17 +247,18 @@ def _clip_lane_grads(parameters: list, active: np.ndarray,
     return norms
 
 
-def _forward_a3tgcn(params: "OrderedDict[str, Parameter]",
-                    propagation: np.ndarray, inputs: np.ndarray,
-                    hidden_size: int, seq_len: int,
-                    dropout_masks: Tensor | None) -> Tensor:
-    """Stacked A3TGCN forward: ``(K, S, L, V) -> (K, S, V)``.
+def _forward_a3tgcn(params: "OrderedDict[str, Parameter]", inputs: np.ndarray,
+                    dropout_masks: Tensor | None, *,
+                    propagation: np.ndarray, hidden_size: int) -> Tensor:
+    """Stacked A3TGCN / T-GCN forward: ``(K, S, L, V) -> (K, S, V)``.
 
     Lane ``k`` replays :meth:`repro.models.a3tgcn.A3TGCN.forward` (and the
     T-GCN cell inside it) node for node; the graph-convolution stages use
-    the ``(K, V, V)`` propagation stack.
+    the ``(K, V, V)`` propagation stack.  Without an ``attention``
+    parameter this is :meth:`repro.models.tgcn.TGCNForecaster.forward`:
+    the final hidden state is the context.
     """
-    lanes, samples, _, nodes = inputs.shape
+    lanes, samples, seq_len, nodes = inputs.shape
     w1 = params["cell.graph_conv1.linear.weight"]
     b1 = params["cell.graph_conv1.linear.bias"]
     w2 = params["cell.graph_conv2.linear.weight"]
@@ -360,9 +283,8 @@ def _forward_a3tgcn(params: "OrderedDict[str, Parameter]",
                                 cand_w, cand_b).tanh()
         hidden = update * hidden + (1.0 - update) * candidate
         states.append(hidden)
-    if len(states) == 1:
-        context = states[0]
-    else:
+    context = hidden
+    if "attention" in params and seq_len > 1:
         sequence = stack(states, axis=2)
         weights = softmax(params["attention"], axis=1).reshape(
             lanes, 1, seq_len, 1, 1)
@@ -373,49 +295,9 @@ def _forward_a3tgcn(params: "OrderedDict[str, Parameter]",
     return out.reshape(lanes, samples, nodes)
 
 
-def _forward_tgcn(params: "OrderedDict[str, Parameter]",
-                  propagation: np.ndarray, inputs: np.ndarray,
-                  hidden_size: int, seq_len: int,
-                  dropout_masks: Tensor | None) -> Tensor:
-    """Stacked T-GCN forward: ``(K, S, L, V) -> (K, S, V)``.
-
-    Lane ``k`` replays :meth:`repro.models.tgcn.TGCNForecaster.forward` —
-    the A3TGCN recurrence without the temporal attention: the final
-    hidden state is the context.
-    """
-    lanes, samples, _, nodes = inputs.shape
-    w1 = params["cell.graph_conv1.linear.weight"]
-    b1 = params["cell.graph_conv1.linear.bias"]
-    w2 = params["cell.graph_conv2.linear.weight"]
-    b2 = params["cell.graph_conv2.linear.bias"]
-    gates_w = params["cell.gates.weight"]
-    gates_b = params["cell.gates.bias"]
-    cand_w = params["cell.candidate.weight"]
-    cand_b = params["cell.candidate.bias"]
-    hidden = Tensor(np.zeros((lanes, samples, nodes, hidden_size),
-                             dtype=inputs.dtype))
-    for t in range(seq_len):
-        step = Tensor(inputs[:, :, t, :].reshape(lanes, samples, nodes, 1))
-        gc = gcn_conv_stacked(
-            propagation,
-            gcn_conv_stacked(propagation, step, w1, b1).relu(), w2, b2)
-        combined = concat([gc, hidden], axis=-1)
-        gates = lane_affine(combined, gates_w, gates_b).sigmoid()
-        update = gates[..., :hidden_size]
-        reset = gates[..., hidden_size:]
-        candidate = lane_affine(concat([gc, reset * hidden], axis=-1),
-                                cand_w, cand_b).tanh()
-        hidden = update * hidden + (1.0 - update) * candidate
-    context = hidden
-    if dropout_masks is not None:
-        context = context * dropout_masks
-    out = lane_affine(context, params["head.weight"], params["head.bias"])
-    return out.reshape(lanes, samples, nodes)
-
-
 def _forward_lstm(params: "OrderedDict[str, Parameter]", inputs: np.ndarray,
-                  hidden_size: int, seq_len: int, num_layers: int,
-                  dropout_masks: Tensor | None) -> Tensor:
+                  dropout_masks: Tensor | None, *, hidden_size: int,
+                  num_layers: int) -> Tensor:
     """Stacked LSTM forward: ``(K, S, L, V) -> (K, S, V)``.
 
     Lane ``k`` replays :class:`repro.models.lstm.LSTMForecaster` — the
@@ -423,7 +305,7 @@ def _forward_lstm(params: "OrderedDict[str, Parameter]", inputs: np.ndarray,
     hidden-state head.  The solo model's stacked-outputs return value is
     unused by the forecaster, so it is not materialized here.
     """
-    lanes, samples = inputs.shape[0], inputs.shape[1]
+    lanes, samples, seq_len = inputs.shape[:3]
     layer_input = [Tensor(inputs[:, :, t, :]) for t in range(seq_len)]
     hidden: Tensor | None = None
     for layer in range(num_layers):
@@ -450,6 +332,49 @@ def _forward_lstm(params: "OrderedDict[str, Parameter]", inputs: np.ndarray,
     return lane_affine(hidden, params["head.weight"], params["head.bias"])
 
 
+def lane_forward(model_name: str, model, graphs,
+                 samples: int) -> tuple[Callable, tuple]:
+    """The stacked forward of ``K`` lanes of ``model_name``.
+
+    ``model`` is one lane's solo model (every lane shares its
+    architecture) and ``graphs`` holds the ``K`` lane adjacencies.
+    Returns ``(forward, mask_shape)``: ``forward(params, inputs,
+    dropout_masks)`` maps ``(K, samples, L, V)`` inputs to
+    ``(K, samples, V)`` forecasts, and ``mask_shape`` is the shape of one
+    lane's dropout mask — the solo model's dropout input.  The stacked
+    trainer and the serving engine both run lanes through this function.
+    """
+    hidden_size = model.hidden_size
+    if MODEL_REGISTRY[model_name].requires_graph:
+        propagation = cached_stacked_adjacency(graphs)
+        return (partial(_forward_a3tgcn, propagation=propagation,
+                        hidden_size=hidden_size),
+                (samples, propagation.shape[-1], hidden_size))
+    return (partial(_forward_lstm, hidden_size=hidden_size,
+                    num_layers=model.lstm.num_layers),
+            (samples, hidden_size))
+
+
+def lane_reason(model_name: str, graphs, dtype, mode: str) -> str | None:
+    """Why lanes of a stacked model cannot replay solo bitwise, or None.
+
+    The checks the lane forward itself imposes, shared by
+    :func:`stackable_reason` and the serving engine: the host's batched
+    lane ops must pass the import-time exactness probe
+    (:data:`repro.nn.stacked_ops.BATCHED_LANES`), and no lane graph may
+    route its solo :class:`~repro.nn.graph.GCNConv` through the sparse
+    path under ``mode`` — the lane ops are dense-only.  ``None`` graphs
+    (static probes carry none) are skipped.
+    """
+    if not stacked_ops.BATCHED_LANES:
+        return _reason("stack-host-inexact")
+    if MODEL_REGISTRY[model_name].requires_graph and any(
+            gcn_routes_sparse(graph, dtype, mode)
+            for graph in graphs if graph is not None):
+        return _reason("stack-sparse", mode=mode)
+    return None
+
+
 def _execute_stack(lanes: list[_Lane],
                    resolved: TrainerConfig) -> list[tuple]:
     """Train one stack of lanes; returns ``(result, needs_solo_rerun)``.
@@ -461,6 +386,9 @@ def _execute_stack(lanes: list[_Lane],
     are handed back for a from-scratch per-individual run instead of
     finishing from a state the solo path never produces.
     """
+    # The solo callbacks validate their kwargs on construction; building
+    # them first fails a misconfigured stack before any training work.
+    callbacks = [build_callbacks(resolved.callbacks) for _ in lanes]
     cell0 = lanes[0].cell
     set_default_dtype(cell0.dtype)
     dtype = get_default_dtype()
@@ -488,17 +416,9 @@ def _execute_stack(lanes: list[_Lane],
         for name in names)
     param_list = list(params.values())
 
-    propagation = None
-    if model_name in ("a3tgcn", "tgcn"):
-        propagation = cached_stacked_adjacency(
-            [lane.graph for lane in lanes])
-
-    hidden_size = models[0].hidden_size
+    run_lanes, mask_shape = lane_forward(
+        model_name, models[0], [lane.graph for lane in lanes], samples)
     dropout_p = models[0].dropout.p
-    if model_name in ("a3tgcn", "tgcn"):
-        mask_shape = (samples, nodes, hidden_size)
-    else:
-        mask_shape = (samples, hidden_size)
 
     def draw_dropout_masks() -> np.ndarray | None:
         if dropout_p == 0.0:
@@ -521,37 +441,20 @@ def _execute_stack(lanes: list[_Lane],
             # Replay refills this buffer from the provider each epoch, so
             # each lane's solo RNG stream advances exactly as in eager mode.
             masks._trace_src = ("volatile", draw_dropout_masks)
-        if model_name == "a3tgcn":
-            return _forward_a3tgcn(params, propagation, inputs, hidden_size,
-                                   seq_len, masks)
-        if model_name == "tgcn":
-            return _forward_tgcn(params, propagation, inputs, hidden_size,
-                                 seq_len, masks)
-        return _forward_lstm(params, inputs, hidden_size, seq_len,
-                             models[0].lstm.num_layers, masks)
-
-    def snapshot(lane: int) -> "OrderedDict[str, np.ndarray]":
-        return OrderedDict((name, param.data[lane].copy())
-                           for name, param in params.items())
-
-    def restore(lane: int, saved: dict) -> None:
-        with no_grad():
-            for name, param in params.items():
-                data = param.data
-                data[lane] = saved[name]
-                param.data = data  # reassign to bump the version counter
+        return run_lanes(params, inputs, masks)
 
     optimizer = StackedAdam(
         params.values(), lr=resolved.learning_rate,
         weight_decay=0.0 if resolved.weight_decay is None
         else resolved.weight_decay, **dict(resolved.optimizer_kwargs))
 
-    lane_handlers = [
-        [_LANE_HANDLERS[spec.name](snapshot, restore, **spec.kwargs)
-         for spec in resolved.callbacks]
-        for _ in lanes]
-    states = [_LaneState(lane=k) for k in range(num_lanes)]
-    histories = [TrainingHistory() for _ in lanes]
+    # Each lane runs the solo callbacks against its own context, whose
+    # model is a view over the lane's parameter rows.
+    contexts = [TrainingContext(model=_LaneView(params, k),
+                                optimizer=optimizer, config=resolved,
+                                history=TrainingHistory(),
+                                max_epochs=resolved.epochs)
+                for k in range(num_lanes)]
     active = np.ones(num_lanes, dtype=bool)
     needs_solo = [False] * num_lanes
     loss_name = resolved.loss
@@ -600,46 +503,44 @@ def _execute_stack(lanes: list[_Lane],
             if grad_clip is not None:
                 norms = _clip_lane_grads(param_list, active, grad_clip)
             optimizer.step(active=active)
-        newly_stopped = []
         for k in range(num_lanes):
             if not active[k]:
                 continue
-            histories[k].record(
-                loss_values[k],
-                grad_norm=None if norms is None else float(norms[k]),
-                lr=learning_rate)
-            state = states[k]
-            state.epoch = epoch
-            for handler in lane_handlers[k]:
-                handler.on_epoch_end(state, loss_values[k])
-            if not state.stop_requested and not lane_handlers[k] \
-                    and not np.isfinite(loss_values[k]):
+            ctx = contexts[k]
+            ctx.epoch = epoch
+            ctx.loss = loss_values[k]
+            ctx.grad_norm = None if norms is None else float(norms[k])
+            ctx.history.record(ctx.loss, grad_norm=ctx.grad_norm,
+                               lr=learning_rate)
+            for callback in callbacks[k]:
+                callback.on_epoch_end(ctx)
+            if not ctx.stop_requested and not callbacks[k] \
+                    and not np.isfinite(ctx.loss):
                 # No callbacks: the solo fit would NaN-train to the epoch
                 # budget and its divergent result would be discarded by
                 # the scheduler anyway.  Freeze the lane (NaN rows are
                 # masked out of the optimizer, so siblings are untouched)
                 # and hand it back for the canonical solo re-run.
                 needs_solo[k] = True
-                state.stop_requested = True
-            if state.stop_requested:
-                newly_stopped.append(k)
-        for k in newly_stopped:
-            active[k] = False
-            for handler in lane_handlers[k]:
-                handler.on_fit_end(states[k])
+                ctx.stop_requested = True
+            if ctx.stop_requested:
+                active[k] = False
         if not active.any():
             break
+    # A stopped lane is frozen (the optimizer skips its rows), so ending
+    # every lane's fit here leaves the same weights as ending it at its
+    # stop epoch.
     for k in range(num_lanes):
-        if active[k]:
-            for handler in lane_handlers[k]:
-                handler.on_fit_end(states[k])
+        for callback in callbacks[k]:
+            callback.on_fit_end(contexts[k])
 
     trainer = Trainer(resolved)
     outcomes = []
     for k, lane in enumerate(lanes):
         model = models[k]
         model.load_state_dict({name: params[name].data[k] for name in names})
-        histories[k].stop_reason = states[k].stop_reason
+        history = contexts[k].history
+        history.stop_reason = contexts[k].stop_reason
         test_mse = trainer.evaluate(model, splits[k].test)
         train_mse = trainer.evaluate(model, splits[k].train)
         result = IndividualResult(
@@ -650,7 +551,7 @@ def _execute_stack(lanes: list[_Lane],
             train_mse=train_mse,
             learned_graph=None,
             static_graph=lane.graph,
-            history=histories[k],
+            history=history,
             # The scatter above already loaded this lane's trained rows
             # into the solo model, so its state_dict is the export.
             state=model.state_dict() if lane.cell.export_state else None,

@@ -24,6 +24,7 @@ import pytest
 
 from repro.autodiff import EpochJIT, Tensor, mse, set_default_dtype
 from repro.autodiff.gradcheck import check_gradients
+from repro.graphs import GRAPH_REGISTRY
 from repro.nn import ChebConv, GCNConv, MixHopPropagation
 from repro.nn.graphcache import cached_row_normalized, clear_graph_caches
 from repro.nn.sparse import (CSRMatrix, SPARSE_DENSITY_CROSSOVER,
@@ -467,6 +468,34 @@ class TestStackedInteraction:
 
         for cell in self._cells("always", model="lstm"):
             assert stackable_reason(cell) is None
+
+    @pytest.mark.parametrize("builder", sorted(GRAPH_REGISTRY))
+    def test_stack_sparse_iff_solo_gcn_routes_sparse(self, builder):
+        # One routing predicate: the stacked blocker fires exactly when
+        # the solo layer the lanes replay would propagate through CSR.
+        import dataclasses
+
+        from repro.analysis.hazards import match_reason
+        from repro.graphs import get_graph_builder
+        from repro.training.stacked import stackable_reason
+
+        base = self._cells("auto")[0]
+        series = np.random.default_rng(3).standard_normal(
+            (40, SPARSE_MIN_NODES))
+        kwargs = dict(BUILDER_KWARGS.get(builder, {}))
+        for gdt in (0.05, 0.4):
+            graph = get_graph_builder(builder)(series, gdt=gdt, seed=11,
+                                               **kwargs)
+            for dtype in ("float32", "float64"):
+                for mode in ("auto", "always", "never"):
+                    set_default_dtype(dtype)
+                    set_sparse_mode(mode)
+                    routes = GCNConv(1, 4, graph)._sparse is not None
+                    cell = dataclasses.replace(base, graphs=(graph,),
+                                               dtype=dtype, sparse=mode)
+                    blocked = match_reason(
+                        stackable_reason(cell)) == "stack-sparse"
+                    assert blocked == routes, (gdt, dtype, mode)
 
     def test_cell_key_folds_non_default_mode(self):
         always = self._cells("always")

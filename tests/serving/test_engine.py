@@ -226,3 +226,25 @@ class TestRouting:
         assert engine.stats["served"] == 3
         assert engine.stats["batched"] == 3
         assert engine.stats["failed"] == 1
+
+    @pytest.mark.parametrize("model_name", sorted(STACKED_MODELS))
+    def test_probe_declined_host_serves_eagerly(self, model_name,
+                                                monkeypatch):
+        # A host whose batched lane ops fail the exactness probe must not
+        # batch: every request takes the solo predict path.
+        from repro.nn import stacked_ops
+
+        monkeypatch.setattr(stacked_ops, "BATCHED_LANES", False)
+        engine, models, shards = engine_for(model_name, count=3)
+        outcomes = []
+        for identifier in engine.individuals:
+            outcomes.extend(engine.submit(identifier))
+        assert len(outcomes) == 3
+        assert engine.stats["batched"] == 0
+        for outcome in outcomes:
+            assert isinstance(outcome, ForecastResponse)
+            assert not outcome.batched
+            window = shards[0].artifacts[outcome.identifier].window_tail
+            np.testing.assert_array_equal(
+                outcome.prediction,
+                reference(models, outcome.identifier, window))

@@ -261,6 +261,27 @@ class TestLaneMasks:
         assert stacked[1].attempts == 2  # retries=1 exhausted on the solo path
 
 
+    @pytest.mark.parametrize("kwargs", [{"patience": 0},
+                                        {"min_delta": -1e-3}])
+    def test_rejected_callback_kwargs_fail_like_solo(self, kwargs):
+        # Lanes build the solo callbacks, so kwargs the solo constructor
+        # rejects fail the stack; its cells then fail on the solo path
+        # exactly as the process backend fails them.
+        from repro.training.faults import CellFailure
+
+        cohort = make_cohort()
+        config = TrainerConfig(
+            epochs=3,
+            callbacks=(CallbackSpec.make("early-stopping", **kwargs),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            serial, stacked = run_both(cohort, "lstm", config,
+                                       faults=FaultPolicy(on_error="collect"))
+        assert_identical(serial, stacked)
+        assert all(isinstance(r, CellFailure) for r in stacked)
+        assert {r.error_type for r in stacked} == {"ValueError"}
+
+
 class TestRouting:
     def test_unstackable_model_falls_back(self):
         cohort = make_cohort(ragged=False)
@@ -286,6 +307,23 @@ class TestRouting:
             trainer_config=TrainerConfig(
                 epochs=2, callbacks=(CallbackSpec.make("epoch-timer"),)))
         assert "callback" in stackable_reason(timer[0])
+
+    def test_probe_declined_host_runs_solo(self, monkeypatch):
+        # A host whose batched lane ops fail the import-time exactness
+        # probe stacks nothing: every cell names the catalogued blocker
+        # and the stacked backend reduces to the serial path, bitwise.
+        from repro.analysis.hazards import match_reason
+        from repro.nn import stacked_ops
+
+        monkeypatch.setattr(stacked_ops, "BATCHED_LANES", False)
+        cohort = make_cohort()
+        for model in ("lstm", "tgcn", "a3tgcn"):
+            cells = enumerate_cells(cohort, model, 2,
+                                    trainer_config=TrainerConfig(epochs=2))
+            assert {match_reason(stackable_reason(cell))
+                    for cell in cells} == {"stack-host-inexact"}
+        serial, stacked = run_both(cohort, "a3tgcn", TrainerConfig(epochs=3))
+        assert_identical(serial, stacked)
 
     def test_backend_validation(self):
         with pytest.raises(ValueError):
