@@ -5,11 +5,13 @@ loop's wall-clock to three recurring costs beyond the model math itself:
 re-deriving graph constants (adjacency normalization, Chebyshev bases,
 MTGNN's static row normalization), the temporary-heavy per-parameter Adam
 update, and ASTGCN's per-window-step Python loop over Chebyshev
-convolutions.  This benchmark measures each optimized kernel against the
-path it replaced, asserts the replacements are *exact* (bit-identical
-trajectories for the flat-buffer Adam against its per-parameter
-reference loop, bit-identical outputs for the vectorized convolution
-and cached constants), and checks the combined hot path —
+convolutions — and, in MTGNN, to copying transposed activations around
+its temporal convolutions.  This benchmark measures each optimized kernel
+against the path it replaced, asserts the replacements are *exact*
+(bit-identical trajectories for the flat-buffer Adam against its
+per-parameter reference loop, bit-identical outputs for the vectorized
+Chebyshev convolution, the channels-last temporal convolution and the
+cached constants), and checks the combined hot path —
 graph-constant construction plus an epoch budget of optimizer steps — is
 at least ``KERNEL_TARGET`` times faster.  It also bounds what the
 profiler costs when disabled.  Writes ``BENCH_kernels.json``.
@@ -27,10 +29,11 @@ import time
 
 import numpy as np
 
-from repro.autodiff import Tensor, mse, stack
+from repro.autodiff import (Tensor, get_default_dtype, mse, set_default_dtype,
+                            stack)
 from repro.data.windows import make_windows
 from repro.models import create_model
-from repro.nn import ChebConv
+from repro.nn import ChebConv, DilatedInception
 from repro.nn.graphcache import (cached_chebyshev_basis,
                                  cached_normalized_adjacency,
                                  cached_row_normalized, clear_graph_caches)
@@ -195,6 +198,90 @@ def _bench_vectorized_cheb():
             "speedup": looped_s / batched_s}
 
 
+def _nchw_conv(x, weight, bias, dilation, grad_out):
+    """Causal ``(1, k)`` conv in torch's ``(B, C, N, T)`` layout, forward and
+    backward, the way the layer computed it before it went channels-last.
+
+    Pads the time axis, gathers ``(B, C, N, T, K)`` windows by fancy
+    indexing, transposes them to ``(B, N, T, C, K)`` and copies them flat
+    for one GEMM; the backward scatter-adds the window gradient tap by tap
+    into a zeroed padded buffer.  Returns ``(out, grad_x, grad_weight)``.
+    """
+    b, c, n, t = x.shape
+    o, _, k = weight.shape
+    left = (k - 1) * dilation
+    padded = np.pad(x, [(0, 0)] * 3 + [(left, 0)])
+    idx = np.arange(t)[:, None] + dilation * np.arange(k)[None, :]
+    flat = padded[..., idx].transpose(0, 2, 3, 1, 4).reshape(-1, c * k)
+    kernel = weight.reshape(o, c * k).T
+    out = (flat @ kernel).reshape(b, n, t, o) + bias
+    grad2d = grad_out.transpose(0, 2, 3, 1).reshape(-1, o)
+    grad_weight = (flat.T @ grad2d).T.reshape(o, c, k)
+    grad_windows = (grad2d @ kernel.T).reshape(b, n, t, c, k)
+    grad_windows = grad_windows.transpose(0, 3, 1, 2, 4)
+    grad_padded = np.zeros_like(padded)
+    for j in range(k):
+        grad_padded[..., dilation * j:dilation * j + t] += grad_windows[..., j]
+    return out.transpose(0, 3, 1, 2), grad_padded[..., left:], grad_weight
+
+
+def _bench_temporal_conv():
+    """MTGNN's inception conv, channels-last vs the NCHW im2col path.
+
+    One forward+backward of ``DilatedInception(32, 32, (2, 3))`` at the
+    paper's MTGNN shape — 100 windows, 32 channels, V=26, L=5, float32 —
+    through the autodiff layer (one ``unfold_time`` copy and one GEMM per
+    branch) against the plain-numpy NCHW reference.  Outputs, input
+    gradients and weight gradients must be bitwise equal.
+    """
+    previous = get_default_dtype()
+    set_default_dtype(np.float32)
+    try:
+        layer = DilatedInception(32, 32, kernel_sizes=(2, 3),
+                                 rng=np.random.default_rng(8))
+    finally:
+        set_default_dtype(previous)
+    rng = np.random.default_rng(9)
+    x_nchw = rng.standard_normal((100, 32, PAPER_V, L)).astype(np.float32)
+    x_last = np.ascontiguousarray(x_nchw.transpose(0, 2, 3, 1))
+    grad_last = rng.standard_normal(x_last.shape).astype(np.float32)
+    grad_nchw = np.ascontiguousarray(grad_last.transpose(0, 3, 1, 2))
+    branch_channels = 32 // len(layer.branches)
+
+    def reference(_):
+        outs, grad_x, grad_weights = [], 0, []
+        for i, branch in enumerate(layer.branches):
+            rows = slice(i * branch_channels, (i + 1) * branch_channels)
+            out, gx, gw = _nchw_conv(x_nchw, branch.weight.data,
+                                     branch.bias.data, branch.dilation,
+                                     grad_nchw[:, rows])
+            outs.append(out)
+            grad_x = grad_x + gx
+            grad_weights.append(gw)
+        return np.concatenate(outs, axis=1), grad_x, grad_weights
+
+    def channels_last(_):
+        layer.zero_grad()
+        x = Tensor(x_last, requires_grad=True)
+        out = layer(x)
+        (out * Tensor(grad_last)).sum().backward()
+        return out.data, x.grad, [b.weight.grad for b in layer.branches]
+
+    ref_out, ref_gx, ref_gw = reference(0)
+    new_out, new_gx, new_gw = channels_last(0)
+    assert np.array_equal(new_out.transpose(0, 3, 1, 2), ref_out), \
+        "channels-last inception conv output must match the NCHW path"
+    assert np.array_equal(new_gx.transpose(0, 3, 1, 2), ref_gx), \
+        "channels-last inception conv input grad must match the NCHW path"
+    assert all(np.array_equal(a, b) for a, b in zip(new_gw, ref_gw)), \
+        "channels-last inception conv weight grads must match the NCHW path"
+    reference_s = _min_chunk_seconds(3, _iters(20), reference)
+    channels_last_s = _min_chunk_seconds(3, _iters(20), channels_last)
+    return {"nchw_seconds": reference_s,
+            "channels_last_seconds": channels_last_s,
+            "speedup": reference_s / channels_last_s}
+
+
 def _bench_profiler_overhead():
     """Cost of the profiler machinery when *no* profiler is active.
 
@@ -252,6 +339,7 @@ def test_kernel_speedups():
     for name, bench in [("graph_constants", _bench_graph_constants),
                         ("fused_adam", _bench_fused_adam),
                         ("vectorized_cheb", _bench_vectorized_cheb),
+                        ("temporal_conv", _bench_temporal_conv),
                         ("profiler", _bench_profiler_overhead)]:
         report[name] = bench()
         line = ", ".join(f"{key}={value:.3g}" if isinstance(value, float)
@@ -275,6 +363,8 @@ def test_kernel_speedups():
          f"x{report['kernel_path_speedup']:.2f} < x{KERNEL_TARGET}")
     assert report["vectorized_cheb"]["speedup"] > 1.0, \
         "vectorized ChebConv must not be slower than the per-step loop"
+    assert report["temporal_conv"]["speedup"] > 1.0, \
+        "channels-last temporal conv must not be slower than the NCHW path"
     assert report["profiler"]["disabled_overhead_pct"] < OVERHEAD_TARGET_PCT
 
     out_path = os.path.join(os.environ.get("REPRO_BENCH_OUT", "."),

@@ -192,9 +192,7 @@ REPLAYABLE_OPS = frozenset({
 #: these on the tape disables the JIT (``op-unsupported``).  Composites
 #: (``mean``, ``var``, ``__sub__``, ``swapaxes``) lower to replayable
 #: primitives and are fine.
-UNREPLAYABLE_TENSOR_METHODS = frozenset({
-    "clip", "max", "pad_last", "unfold_last",
-})
+UNREPLAYABLE_TENSOR_METHODS = frozenset({"clip", "max", "unfold_time"})
 
 #: Models with a lane-exact stacked forward.
 STACKED_MODELS = ("lstm", "tgcn", "a3tgcn")

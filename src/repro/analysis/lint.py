@@ -506,27 +506,25 @@ def _check_matmul_1d(ctx: FileContext) -> Iterator[Finding]:
                 "trailing axis and reshape after the product")
 
 
-#: Tensor methods recorded without a replay rule (mirrors
-#: ``repro.analysis.hazards.UNREPLAYABLE_TENSOR_METHODS``).
-_UNREPLAYABLE_METHODS = frozenset({"clip", "max", "pad_last", "unfold_last"})
-
-
 @_rule("REPRO010", "Tensor method without a JIT replay rule")
 def _check_unreplayable_method(ctx: FileContext) -> Iterator[Finding]:
     """Some recorded ops are outside the replay-rule table.
 
-    ``clip``/``max``/``pad_last``/``unfold_last`` record backward
-    closures the fuser has no rule for (hazard ``op-unsupported``), so a
-    forward that reaches them disables the JIT for that fit.  numpy-level
-    uses (scalar statistics on plain arrays) and accepted fallbacks carry
-    justified noqa comments.
+    The methods in ``repro.analysis.hazards.UNREPLAYABLE_TENSOR_METHODS``
+    (``clip``, ``max``, ``unfold_time``) record backward closures the
+    fuser has no rule for (hazard ``op-unsupported``), so a forward that
+    reaches them disables the JIT for that fit.  numpy-level uses (scalar
+    statistics on plain arrays) and accepted fallbacks carry justified
+    noqa comments.
     """
     if not ctx.dtype_scoped:
         return
+    from .hazards import UNREPLAYABLE_TENSOR_METHODS
+
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Call) \
                 and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in _UNREPLAYABLE_METHODS:
+                and node.func.attr in UNREPLAYABLE_TENSOR_METHODS:
             chain = _attr_chain(node.func)
             if chain and chain[0] in ("np", "numpy"):
                 continue

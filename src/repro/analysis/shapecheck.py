@@ -12,8 +12,8 @@ us via the ``__tensor_priority__`` marker), while the interpreter records
 an op event stream plus every fast-path hazard from the shared
 :mod:`repro.analysis.hazards` catalogue:
 
-* an op with no replay rule (``pad_last``, ``unfold_last``, ``max``,
-  ``clip``) → ``op-unsupported``;
+* an op with no replay rule (``unfold_time``, ``max``, ``clip``) →
+  ``op-unsupported``;
 * matmul with a 1-D operand → ``matmul-1d``;
 * ``where()`` on a data-dependent condition → ``where-data-dependent``;
 * fancy indexing → ``getitem-fancy``.
@@ -512,28 +512,14 @@ class AbstractTensor:
                              index=len(self._ctx.events) - 1)
         return out
 
-    def pad_last(self, left: int, right: int, value: float = 0.0):
-        if left < 0 or right < 0:
-            raise ValueError("padding must be non-negative")
-        out_shape = self.shape[:-1] + (int(self.shape[-1]) + left + right,)
-        out = self._emit("pad_last", out_shape, self.dtype,
+    def unfold_time(self, size: int, dilation: int = 1, left_pad: int = 0):
+        t_out = _tensor_mod.unfold_time_length(self.shape, size, dilation,
+                                               left_pad)
+        out_shape = self.shape[:-2] + (t_out, int(self.shape[-1]) * size)
+        out = self._emit("unfold_time", out_shape, self.dtype,
                          self.requires_grad)
         if out.requires_grad:
-            self._ctx.hazard("op-unsupported", op="pad_last",
-                             index=len(self._ctx.events) - 1)
-        return out
-
-    def unfold_last(self, size: int, dilation: int = 1):
-        span = (size - 1) * dilation + 1
-        t_in = int(self.shape[-1])
-        if span > t_in:
-            raise ValueError(
-                f"unfold window span {span} exceeds axis length {t_in}")
-        out_shape = self.shape[:-1] + (t_in - span + 1, size)
-        out = self._emit("unfold_last", out_shape, self.dtype,
-                         self.requires_grad)
-        if out.requires_grad:
-            self._ctx.hazard("op-unsupported", op="unfold_last",
+            self._ctx.hazard("op-unsupported", op="unfold_time",
                              index=len(self._ctx.events) - 1)
         return out
 

@@ -789,47 +789,46 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def pad_last(self, left: int, right: int, value: float = 0.0) -> "Tensor":
-        """Pad the last axis with ``value`` (used for causal temporal convs)."""
-        if left < 0 or right < 0:
-            raise ValueError("padding must be non-negative")
-        widths = [(0, 0)] * (self.ndim - 1) + [(left, right)]
-        out_data = np.pad(self.data, widths, constant_values=value)
-        size = self.shape[-1]
+    def unfold_time(self, size: int, dilation: int = 1,
+                    left_pad: int = 0) -> "Tensor":
+        """Sliding time windows of a channels-last ``(..., T, C)`` tensor.
 
-        def backward(grad: np.ndarray) -> None:
-            sl = [slice(None)] * (self.ndim - 1) + [slice(left, left + size)]
-            self._accumulate(grad[tuple(sl)])
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def unfold_last(self, size: int, dilation: int = 1) -> "Tensor":
-        """Extract sliding windows along the last axis.
-
-        Returns a tensor of shape ``(*leading, T_out, size)`` where
-        ``T_out = T - (size - 1) * dilation``.  This is the primitive that
-        temporal convolutions are built from.
+        The time axis (-2) is first left-padded with ``left_pad`` zeros;
+        window ``t`` then holds steps ``t, t + dilation, ...`` of the padded
+        axis.  Returns ``(..., T_out, C * size)`` with
+        ``T_out = T + left_pad - (size - 1) * dilation``, packed
+        channel-major (column ``c * size + k`` is channel ``c`` at tap
+        ``k``) — the order of a flattened ``(out, in, k)`` conv weight, so
+        a temporal convolution is one GEMM against
+        ``weight.reshape(out, in * k).T``.
         """
-        span = (size - 1) * dilation + 1
-        t_in = self.shape[-1]
-        if span > t_in:
-            raise ValueError(f"unfold window span {span} exceeds axis length {t_in}")
-        t_out = t_in - span + 1
-        idx = np.arange(t_out)[:, None] + dilation * np.arange(size)[None, :]
-        out_data = self.data[..., idx]
+        t_out = unfold_time_length(self.shape, size, dilation, left_pad)
         in_shape = self.shape
+        *lead, _, channels = in_shape
+        # Tap k of window t reads source step t + k*dilation - left_pad: its
+        # first ``skip`` windows fall in the zero padding, and a tap whose
+        # every window does is left out.
+        taps = []
+        for k in range(size):
+            shift = k * dilation - left_pad
+            skip = max(0, -shift)
+            if skip < t_out:
+                taps.append((k, skip, shift))
+        alloc = np.zeros if left_pad else np.empty
+        windows = alloc((*lead, t_out, channels, size), dtype=self.data.dtype)
+        for k, skip, shift in taps:
+            windows[..., skip:, :, k] = \
+                self.data[..., skip + shift:t_out + shift, :]
 
         def backward(grad: np.ndarray) -> None:
+            gwin = grad.reshape(*lead, t_out, channels, size)
             full = np.zeros(in_shape, dtype=grad.dtype)
-            # Scatter-add each window element back to its source position.
-            flat = full.reshape(-1, t_in)
-            gflat = grad.reshape(-1, t_out, size)
-            for j in range(size):
-                offs = dilation * j
-                flat[:, offs:offs + t_out] += gflat[:, :, j]
+            for k, skip, shift in taps:
+                full[..., skip + shift:t_out + shift, :] += gwin[..., skip:, :, k]
             self._accumulate(full)
 
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(
+            windows.reshape(*lead, t_out, channels * size), (self,), backward)
 
     # ------------------------------------------------------------------
     # Comparisons (non-differentiable; return plain numpy bool arrays)
@@ -839,6 +838,30 @@ class Tensor:
 
     def __lt__(self, other):
         return self.data < (other.data if isinstance(other, Tensor) else other)
+
+
+def unfold_time_length(shape: tuple, size: int, dilation: int,
+                       left_pad: int) -> int:
+    """Window count ``T_out`` of :meth:`Tensor.unfold_time` on ``shape``.
+
+    Validates the arguments: ``ValueError`` for ``size < 1``,
+    ``dilation < 1``, ``left_pad < 0``, a shape without ``(T, C)``
+    trailing axes, or a window span longer than the padded time axis.
+    """
+    if size < 1 or dilation < 1 or left_pad < 0:
+        raise ValueError(
+            f"unfold_time needs size >= 1, dilation >= 1 and left_pad >= 0, "
+            f"got size={size}, dilation={dilation}, left_pad={left_pad}")
+    if len(shape) < 2:
+        raise ValueError(
+            f"unfold_time needs a (..., T, C) tensor, got shape {tuple(shape)}")
+    t_in = int(shape[-2])
+    span = (size - 1) * dilation + 1
+    if span > t_in + left_pad:
+        raise ValueError(
+            f"unfold window span {span} exceeds the padded time axis "
+            f"({t_in} steps + {left_pad} padding)")
+    return t_in + left_pad - span + 1
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,8 @@ motivate ("no need to incorporate a very deep network"):
 2. **Spatial attention** ``S_att (S, V, V)`` modulates node mixing.
 3. **Chebyshev graph convolution** (order ``K`` = the paper's kernel k=3)
    with the spatial attention applied elementwise to each polynomial term.
-4. **Temporal convolution** along the window (causal, kernel 3).
+4. **Temporal convolution** along the window (causal, kernel 3), run
+   channels-last on ``(S, V, L, H)`` so no activation is transposed for it.
 5. Residual connection from the input and a per-node output head that reads
    the full convolved window.
 
@@ -74,16 +75,14 @@ class ASTGCN(Forecaster):
         # matmul dispatches and L redundant ``T_k * S_att`` products.
         steps_in = x_t.transpose(0, 3, 1, 2)              # (S, L, V, 1)
         spatial = self.cheb(steps_in, spatial_attention=s_att).relu()
-        spatial = spatial.transpose(0, 2, 3, 1)           # (S, V, H, L)
 
-        # 4. temporal convolution over the window.
-        conv_in = spatial.transpose(0, 2, 1, 3)           # (S, H, V, L)
-        conv_out = self.time_conv(conv_in)                # (S, H, V, L)
+        # 4. temporal convolution over the window, channels-last.
+        conv_out = self.time_conv(spatial.transpose(0, 2, 1, 3))  # (S, V, L, H)
 
         # 5. residual from raw input + layer norm over channels.
-        residual = self.residual_conv(x.transpose(0, 2, 1, 3))  # (S, H, V, L)
-        merged = (conv_out + residual).relu()
-        merged = self.norm(merged.transpose(0, 2, 3, 1))  # (S, V, L, H)
+        residual = self.residual_conv(
+            x.reshape(samples, self.num_variables, self.seq_len, 1))  # (S, V, L, H)
+        merged = self.norm((conv_out + residual).relu())  # (S, V, L, H)
 
         # head reads the whole convolved window per node.
         features = self.dropout(merged).reshape(

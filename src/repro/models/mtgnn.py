@@ -16,6 +16,11 @@ Architecture (per the source paper, at the depth the EMA windows warrant):
   run in both edge directions (A and A^T) and a residual connection;
 * per-block skip connections into a skip accumulator;
 * output head reading the skip state at the final time position.
+
+Activations run node-major and channels-last, ``(V, S, L, C)``: the
+temporal convolutions window the ``L`` axis of ``(..., L, C)`` views,
+each graph hop is one 2-D GEMM over ``x.reshape(V, -1)``, and LayerNorm
+acts on the trailing channel axis, so no layer transposes its input.
 """
 
 from __future__ import annotations
@@ -177,51 +182,54 @@ class MTGNN(Forecaster):
         return self._static_props
 
     # ------------------------------------------------------------------
-    def _graph_mix(self, x: Tensor, layer: int,
-                   adjacency: Tensor | None = None,
-                   propagations: tuple | None = None) -> Tensor:
-        """Mix-hop propagation in both edge directions on (S, C, V, L)."""
-        s, c, v, l = x.shape
-        # (S, C, V, L) -> (S, L, V, C): propagate over V for every position.
-        per_node = x.transpose(0, 3, 2, 1)
-        if propagations is not None:
-            prop_fwd, prop_bwd = propagations
-            fwd = self.graph_convs_fwd[layer](per_node,
-                                              propagation=prop_fwd)
-            bwd = self.graph_convs_bwd[layer](per_node,
-                                              propagation=prop_bwd)
-        else:
-            fwd = self.graph_convs_fwd[layer](per_node, adjacency)
-            bwd = self.graph_convs_bwd[layer](per_node, adjacency.T)
-        mixed = fwd + bwd
-        return mixed.transpose(0, 3, 2, 1)
+    def _learned_propagations(self) -> tuple:
+        """Row-normalized ``(Â, Â^T)`` of this forward's learned graph.
+
+        Normalized once per forward, inside the autodiff graph so the
+        gradients reach the graph learner, and shared by every layer.
+        """
+        adjacency = self.current_adjacency()
+        return (MixHopPropagation._row_normalize(adjacency),
+                MixHopPropagation._row_normalize(adjacency.T))
+
+    def _graph_mix(self, x: Tensor, layer: int, propagations: tuple) -> Tensor:
+        """Mix-hop propagation in both edge directions on node-major
+        ``(V, S, L, C)`` activations."""
+        prop_fwd, prop_bwd = propagations
+        return (self.graph_convs_fwd[layer](x, propagation=prop_fwd)
+                + self.graph_convs_bwd[layer](x, propagation=prop_bwd))
+
+    def _dropout(self, x: Tensor) -> Tensor:
+        """Dropout on node-major ``(V, S, L, C)`` activations whose mask is
+        drawn in the logical ``(S, C, V, L)`` order of torch's layout, so
+        each activation meets the same draw in either layout."""
+        return self.dropout(x.transpose(1, 3, 0, 2)).transpose(2, 0, 3, 1)
 
     def forward(self, inputs: Tensor) -> Tensor:
         self._check_input(inputs)
         samples = inputs.shape[0]
-        if self.use_graph_learning:
-            adjacency, propagations = self.current_adjacency(), None
-        else:
-            adjacency, propagations = None, self._static_propagations()
-        # (S, L, V) -> (S, 1, V, L)
-        x = inputs.transpose(0, 2, 1).reshape(samples, 1, self.num_variables, self.seq_len)
+        propagations = (self._learned_propagations() if self.use_graph_learning
+                        else self._static_propagations())
+        # Node-major, channels-last: (S, L, V) -> (V, S, L, 1).  Every conv
+        # reads contiguous time windows, every graph hop is one 2-D GEMM.
+        x = inputs.transpose(2, 0, 1).reshape(
+            self.num_variables, samples, self.seq_len, 1)
         skip = self.skip_start(x)
         x = self.start_conv(x)
         for layer in range(self.num_layers):
             residual = x
             filt = self.filter_convs[layer](x).tanh()
             gate = self.gate_convs[layer](x).sigmoid()
-            x = self.dropout(filt * gate)
+            x = self._dropout(filt * gate)
             skip = skip + self.skip_convs[layer](x)
-            x = self._graph_mix(x, layer, adjacency=adjacency,
-                                propagations=propagations)
+            x = self._graph_mix(x, layer, propagations)
             x = x + residual
             # Per-layer normalization over channels (canonical MTGNN).
-            x = self.norms[layer](x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+            x = self.norms[layer](x)
         # Final skip (canonical skipE): without it the last layer's graph
         # convolution would never reach the output head.
         skip = skip + self.skip_end(x)
         # Read the final time position of the skip accumulator.
-        final = skip[:, :, :, -1].transpose(0, 2, 1)   # (S, V, C)
+        final = skip[:, :, -1].transpose(1, 0, 2)   # (S, V, C)
         hidden = self.head_hidden(final.relu()).relu()
         return self.head_out(hidden).reshape(samples, self.num_variables)

@@ -1,11 +1,13 @@
 """Temporal convolutions.
 
 MTGNN's temporal module is a stack of dilated "inception" convolutions
-applied along the time axis of a ``(batch, channels, nodes, time)`` tensor
-(PyTorch's ``Conv2d`` with ``kernel=(1, k)``).  :class:`TemporalConv2d`
-implements exactly that contraction on top of the autodiff ``unfold_last``
-primitive; :class:`DilatedInception` combines several kernel widths as in
-the MTGNN paper (scaled down to the kernel sizes the EMA paper uses).
+applied along the time axis (PyTorch's ``Conv2d`` with ``kernel=(1, k)``).
+Here every temporal convolution runs *channels-last*: input and output are
+``(..., T, C)``, so the im2col windows come from one
+:meth:`~repro.autodiff.Tensor.unfold_time` copy and the contraction is a
+single GEMM over a contiguous view — no layer transposes its activations.
+:class:`DilatedInception` combines several kernel widths as in the MTGNN
+paper (scaled down to the kernel sizes the EMA paper uses).
 """
 
 from __future__ import annotations
@@ -21,11 +23,18 @@ __all__ = ["TemporalConv2d", "DilatedInception"]
 
 
 class TemporalConv2d(Module):
-    """Convolution along the last (time) axis of ``(B, C, N, T)`` input.
+    """Convolution along the time axis of channels-last ``(..., T, C)`` input.
 
-    Equivalent to ``torch.nn.Conv2d(c_in, c_out, kernel_size=(1, k),
-    dilation=(1, d))``.  ``causal_pad=True`` left-pads so the output keeps
-    the input's temporal length and never peeks at the future.
+    Returns ``(..., T_out, out_channels)``; every leading axis (samples,
+    nodes, in any order) is a batch axis.  On ``(B, N, T, C)`` input this
+    equals ``torch.nn.Conv2d(c_in, c_out, kernel_size=(1, k),
+    dilation=(1, d))`` applied to ``x.permute(0, 3, 1, 2)`` — torch's
+    ``(B, C, N, T)`` layout — with the result permuted back by
+    ``.permute(0, 2, 3, 1)``; the weight is stored in torch's
+    ``(out, in, k)`` order (height axis squeezed).  ``causal_pad=True``
+    left-pads so the output keeps the input's temporal length and never
+    peeks at the future; without it, an input shorter than the receptive
+    field is left-padded up to one window.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -49,37 +58,33 @@ class TemporalConv2d(Module):
         return (self.kernel_size - 1) * self.dilation + 1
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
+        if x.ndim < 2 or x.shape[-1] != self.in_channels:
             raise ValueError(
-                f"TemporalConv2d expects (B, {self.in_channels}, N, T), got {x.shape}")
-        if self.kernel_size == 1:
-            # 1x1 convolution is a pure channel mix — skip the unfold path.
-            mixed = x.transpose(0, 2, 3, 1) @ self.weight[:, :, 0].T + self.bias
-            return mixed.transpose(0, 3, 1, 2)
-        if self.causal_pad:
+                f"TemporalConv2d expects (..., T, {self.in_channels}), "
+                f"got {x.shape}")
+        if self.kernel_size > 1:
+            span = self.receptive_field
+            left_pad = (span - 1 if self.causal_pad
+                        else max(0, span - x.shape[-2]))
             # Documented fallback: temporal convs disable the JIT
             # (see ema-gnn check).
-            x = x.pad_last(self.receptive_field - 1, 0)  # repro: noqa[REPRO010]
-        if x.shape[-1] < self.receptive_field:
-            x = x.pad_last(self.receptive_field  # repro: noqa[REPRO010]
-                           - x.shape[-1], 0)
-        windows = x.unfold_last(self.kernel_size,  # repro: noqa[REPRO010]
-                                dilation=self.dilation)
-        # windows: (B, C, N, T_out, K) -> (B, N, T_out, C, K) -> (B, N, T_out, C*K)
-        b, c, n, t_out, k = windows.shape
-        flat = windows.transpose(0, 2, 3, 1, 4).reshape(b, n, t_out, c * k)
-        kernel = self.weight.reshape(self.out_channels, c * k).T  # (C*K, C_out)
-        out = flat @ kernel + self.bias  # (B, N, T_out, C_out)
-        return out.transpose(0, 3, 1, 2)
+            x = x.unfold_time(self.kernel_size,  # repro: noqa[REPRO010]
+                              dilation=self.dilation, left_pad=left_pad)
+        # A 1x1 convolution is a pure channel mix: its windows are x itself.
+        kernel = self.weight.reshape(
+            self.out_channels, self.in_channels * self.kernel_size).T
+        return x @ kernel + self.bias
 
 
 class DilatedInception(Module):
     """Parallel dilated temporal convolutions with concatenated outputs.
 
-    MTGNN runs kernels {2, 3, 6, 7} in parallel, truncates every branch to
-    the shortest output, and concatenates over channels.  The EMA paper's
-    windows are at most 5 steps with kernel 3, so we default to {2, 3} and
-    split ``out_channels`` evenly across branches.
+    MTGNN runs kernels {2, 3, 6, 7} in parallel and concatenates their
+    outputs over channels.  Every branch here is causal-padded, so each
+    keeps the input's temporal length and the branches line up without
+    truncation.  The EMA paper's windows are at most 5 steps with kernel
+    3, so we default to {2, 3} and split ``out_channels`` evenly across
+    branches.  Input and output are channels-last ``(..., T, C)``.
     """
 
     def __init__(self, in_channels: int, out_channels: int,
@@ -98,4 +103,4 @@ class DilatedInception(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         outputs = [branch(x) for branch in self.branches]
-        return concat(outputs, axis=1)
+        return concat(outputs, axis=-1)

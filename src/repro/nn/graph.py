@@ -237,6 +237,11 @@ class MixHopPropagation(Module):
     may be a constant numpy array or a Tensor inside the autodiff graph
     (the learned-adjacency path, through which gradients flow back to the
     graph learner's node embeddings).
+
+    Input is **node-major** ``(V, ..., C)``: the node axis leads and the
+    feature axis is last, so each hop is one plain 2-D GEMM
+    ``Â @ H.reshape(V, -1)`` over a contiguous view and the output keeps
+    the input's layout, ``(V, ..., out_features)``.
     """
 
     def __init__(self, in_features: int, out_features: int, depth: int = 2,
@@ -277,8 +282,11 @@ class MixHopPropagation(Module):
         :class:`~repro.nn.sparse.CSRMatrix` (the autoswitch-routed static
         path, see :meth:`repro.models.mtgnn.MTGNN._static_propagations`),
         in which case each hop runs through
-        :func:`~repro.nn.sparse.csr_matmul`.  The learned-graph path keeps
-        passing ``adjacency`` so gradients flow through the normalization.
+        :func:`~repro.nn.sparse.csr_matmul`.  A learned graph may be
+        passed either way: MTGNN normalizes it once per forward with
+        :meth:`_row_normalize`, inside the autodiff graph, and shares that
+        ``propagation`` across its layers, so gradients still reach the
+        graph learner.
         """
         if propagation is None:
             if adjacency is None:
@@ -292,12 +300,17 @@ class MixHopPropagation(Module):
                 adjacency = Tensor(  # repro: noqa[REPRO011]
                     np.asarray(adjacency, dtype=get_default_dtype()))
             propagation = self._row_normalize(adjacency)
+        if x.ndim < 2 or x.shape[0] != propagation.shape[1]:
+            raise ValueError(
+                f"MixHopPropagation expects node-major (V, ..., C) input "
+                f"with V={propagation.shape[1]}, got {x.shape}")
         sparse = isinstance(propagation, CSRMatrix)
         hidden = x
         out = self.weights[0](x)
         for k in range(1, self.depth + 1):
-            hop = (csr_matmul(propagation, hidden) if sparse
-                   else propagation @ hidden)
+            flat = hidden.reshape(x.shape[0], -1)
+            hop = (csr_matmul(propagation, flat) if sparse
+                   else propagation @ flat).reshape(x.shape)
             hidden = x * self.beta + hop * (1.0 - self.beta)
             out = out + self.weights[k](hidden)
         return out

@@ -227,18 +227,21 @@ class TestRepro009Matmul1d:
 
 
 class TestRepro010UnreplayableMethod:
-    def test_fires_on_pad_last(self):
-        assert codes("y = x.pad_last(2, 0)\n", NN) == ["REPRO010"]
+    def test_fires_on_unfold_time(self):
+        assert codes("y = x.unfold_time(3, left_pad=2)\n", NN) == ["REPRO010"]
 
-    def test_fires_on_unfold_last(self):
-        assert codes("y = x.unfold_last(3)\n", NN) == ["REPRO010"]
+    def test_fires_on_every_hazard_table_method(self):
+        from repro.analysis.hazards import UNREPLAYABLE_TENSOR_METHODS
+
+        for method in sorted(UNREPLAYABLE_TENSOR_METHODS):
+            assert codes(f"y = x.{method}(1)\n", NN) == ["REPRO010"], method
 
     def test_silent_on_np_level_call(self):
         src = "import numpy as np\nm = np.max(values)\n"
         assert codes(src, NN) == []
 
     def test_silent_outside_scope(self):
-        assert codes("y = x.pad_last(2, 0)\n", LIB) == []
+        assert codes("y = x.unfold_time(3)\n", LIB) == []
 
 
 class TestRepro011ForwardConstant:

@@ -104,8 +104,7 @@ class TestAbstractTensorHazards:
         assert [h.key for h in ctx.hazards] == ["getitem-fancy"]
 
     @pytest.mark.parametrize("method,args,key", [
-        ("pad_last", (2, 0), "op-unsupported"),
-        ("unfold_last", (2,), "op-unsupported"),
+        ("unfold_time", (2,), "op-unsupported"),
         ("clip", (-1.0, 1.0), "op-unsupported"),
     ])
     def test_unreplayable_methods_flag_repro010(self, method, args, key):

@@ -81,22 +81,43 @@ class TestStructuralIdentities:
         np.testing.assert_allclose(g3, 3.0 * g1, atol=1e-9)
 
     @settings(max_examples=25, deadline=None)
-    @given(hnp.arrays(np.float64, (2, 7), elements=floats),
-           st.integers(1, 3), st.integers(0, 2))
-    def test_pad_then_slice_is_identity(self, x, left, right):
+    @given(hnp.arrays(np.float64, (2, 7, 3), elements=floats),
+           st.integers(1, 3))
+    def test_pad_then_slice_is_identity(self, x, left):
         t = Tensor(x, requires_grad=True)
-        padded = t.pad_last(left, right)
+        padded = t.unfold_time(1, left_pad=left)
+        np.testing.assert_array_equal(padded.data[:, :left], 0.0)
         recovered = padded[:, left:left + 7]
         np.testing.assert_allclose(recovered.data, x)
         recovered.sum().backward()
         np.testing.assert_allclose(t.grad, np.ones_like(x))
 
     @settings(max_examples=25, deadline=None)
-    @given(hnp.arrays(np.float64, (2, 8), elements=floats), st.integers(1, 4))
+    @given(hnp.arrays(np.float64, (2, 8, 3), elements=floats), st.integers(1, 4))
     def test_unfold_size_one_is_identity(self, x, dilation):
         t = Tensor(x)
-        windows = t.unfold_last(1, dilation=dilation)
-        np.testing.assert_allclose(windows.data[..., 0], x)
+        windows = t.unfold_time(1, dilation=dilation)
+        np.testing.assert_allclose(windows.data, x)
+
+    @settings(max_examples=25, deadline=None)
+    @given(hnp.arrays(np.float64, (2, 6, 3), elements=floats),
+           st.integers(1, 3), st.integers(1, 2), st.integers(0, 4))
+    def test_unfold_time_matches_padded_gather(self, x, size, dilation, left):
+        span = (size - 1) * dilation + 1   # <= 5: always fits the 6 steps
+        padded = np.concatenate([np.zeros((2, left, 3)), x], axis=1)
+        t_out = 6 + left - span + 1
+        taps = np.arange(t_out)[:, None] + dilation * np.arange(size)
+        # (2, T_out, K, C) -> channel-major (2, T_out, C*K)
+        expected = padded[:, taps].transpose(0, 1, 3, 2).reshape(2, t_out, -1)
+        t = Tensor(x, requires_grad=True)
+        windows = t.unfold_time(size, dilation=dilation, left_pad=left)
+        np.testing.assert_array_equal(windows.data, expected)
+        # Adjoint: the gradient counts how many windows read each step.
+        windows.sum().backward()
+        counts = np.zeros(6 + left)
+        np.add.at(counts, taps.ravel(), 1.0)
+        np.testing.assert_array_equal(
+            t.grad, np.broadcast_to(counts[left:, None], x.shape))
 
     @settings(max_examples=25, deadline=None)
     @given(hnp.arrays(np.float64, (3, 4), elements=floats))

@@ -173,14 +173,18 @@ class TestGradients:
     def test_getitem_int(self):
         check_gradients(lambda a: a[1].sum(), [leaf((3, 4), 39)])
 
-    def test_pad_last(self):
-        check_gradients(lambda a: (a.pad_last(2, 1) ** 2).sum(), [leaf((2, 3), 40)])
+    def test_unfold_time(self):
+        check_gradients(lambda a: (a.unfold_time(3) ** 2).sum(), [leaf((2, 8, 3), 41)])
 
-    def test_unfold_last(self):
-        check_gradients(lambda a: (a.unfold_last(3) ** 2).sum(), [leaf((2, 8), 41)])
+    def test_unfold_time_dilated(self):
+        check_gradients(lambda a: (a.unfold_time(3, dilation=2) ** 2).sum(),
+                        [leaf((2, 9, 2), 42)])
 
-    def test_unfold_last_dilated(self):
-        check_gradients(lambda a: (a.unfold_last(3, dilation=2) ** 2).sum(), [leaf((2, 9), 42)])
+    def test_unfold_time_left_pad(self):
+        # left_pad=4 > (size-1)*dilation: tap 0 of window 0 and 1 read padding.
+        check_gradients(
+            lambda a: (a.unfold_time(2, dilation=2, left_pad=4) ** 2).sum(),
+            [leaf((2, 3, 2), 40)])
 
     def test_concat(self):
         a, b = leaf((2, 3), 43), leaf((2, 2), 44)
@@ -194,6 +198,45 @@ class TestGradients:
         a, b = leaf((3, 3), 47), leaf((3, 3), 48)
         cond = np.random.default_rng(0).random((3, 3)) > 0.5
         check_gradients(lambda a, b: where(cond, a, b).sum(), [a, b])
+
+
+class TestUnfoldTime:
+    def test_windows_are_packed_channel_major(self):
+        x = np.arange(2 * 5 * 3, dtype=float).reshape(2, 5, 3)
+        out = Tensor(x).unfold_time(2, dilation=2, left_pad=1).data
+        assert out.shape == (2, 4, 6)
+        padded = np.concatenate([np.zeros((2, 1, 3)), x], axis=1)
+        for t in range(4):
+            for c in range(3):
+                for k in range(2):
+                    assert out[:, t, c * 2 + k].tolist() == \
+                        padded[:, t + 2 * k, c].tolist()
+
+    def test_tap_entirely_in_padding_reads_zeros(self):
+        x = Tensor(np.ones((1, 2, 1)))
+        out = x.unfold_time(3, dilation=2, left_pad=4).data
+        assert out.shape == (1, 2, 3)
+        assert out[0].tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+
+    def test_rejects_size_below_one(self):
+        with pytest.raises(ValueError, match="size >= 1"):
+            Tensor(np.ones((2, 4, 1))).unfold_time(0)
+
+    def test_rejects_dilation_below_one(self):
+        with pytest.raises(ValueError, match="dilation >= 1"):
+            Tensor(np.ones((2, 4, 1))).unfold_time(2, dilation=0)
+        with pytest.raises(ValueError, match="dilation >= 1"):
+            Tensor(np.ones((2, 4, 1))).unfold_time(3, dilation=-1)
+
+    def test_rejects_negative_left_pad(self):
+        with pytest.raises(ValueError, match="left_pad >= 0"):
+            Tensor(np.ones((2, 4, 1))).unfold_time(2, left_pad=-1)
+
+    def test_rejects_span_longer_than_padded_axis(self):
+        with pytest.raises(ValueError, match="exceeds the padded time axis"):
+            Tensor(np.ones((2, 4, 1))).unfold_time(3, dilation=2, left_pad=0)
+        assert Tensor(np.ones((2, 4, 1))).unfold_time(
+            3, dilation=2, left_pad=1).shape == (2, 1, 3)
 
 
 class TestBackwardSemantics:

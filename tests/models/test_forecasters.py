@@ -189,6 +189,32 @@ class TestMTGNN:
         after = model.learned_graph()
         assert not np.allclose(before, after)
 
+    def test_learned_graph_is_normalized_once_per_forward(self, monkeypatch):
+        from repro.nn import MixHopPropagation
+
+        calls = []
+        original = MixHopPropagation._row_normalize
+        monkeypatch.setattr(MixHopPropagation, "_row_normalize", staticmethod(
+            lambda a: calls.append(a.shape) or original(a)))
+        model = MTGNN(V, L, initial_adjacency=adjacency(8), num_layers=3,
+                      rng=np.random.default_rng(0))
+        model(Tensor(batch()[0]))
+        assert calls == [(V, V), (V, V)]  # A and A^T, shared by all layers
+
+    def test_dropout_mask_is_drawn_in_torch_layout_order(self):
+        # Node-major (V, S, L, C) activations meet the mask a (S, C, V, L)
+        # layout would draw: the same generator state gives the same draw
+        # to the same activation in either layout.
+        model = MTGNN(V, L, initial_adjacency=adjacency(9), dropout=0.5,
+                      rng=np.random.default_rng(0))
+        model.train()
+        x = np.random.default_rng(1).standard_normal((V, 4, L, 6))
+        state = model.dropout.rng.bit_generator.state
+        out = model._dropout(Tensor(x)).data
+        model.dropout.rng.bit_generator.state = state
+        mask = model.dropout._draw_mask((4, 6, V, L), x.dtype)
+        np.testing.assert_array_equal(out, x * mask.transpose(2, 0, 3, 1))
+
 
 class TestRegistry:
     def test_unknown_model(self):

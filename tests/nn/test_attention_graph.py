@@ -164,13 +164,13 @@ class TestChebConv:
 class TestMixHop:
     def test_shape(self):
         layer = MixHopPropagation(3, 6, depth=2, rng=rng(39))
-        out = layer(Tensor(rng(40).standard_normal((2, 5, 3))),
+        out = layer(Tensor(rng(40).standard_normal((5, 2, 3))),  # (V, S, C)
                     random_adjacency(5, 41))
-        assert out.shape == (2, 5, 6)
+        assert out.shape == (5, 2, 6)
 
     def test_accepts_tensor_adjacency_and_backprops_into_it(self):
         layer = MixHopPropagation(2, 2, depth=1, rng=rng(42))
-        x = Tensor(rng(43).standard_normal((1, 4, 2)))
+        x = Tensor(rng(43).standard_normal((4, 1, 2)))
         adj = Tensor(rng(44).random((4, 4)), requires_grad=True)
         (layer(x, adj) ** 2).sum().backward()
         assert adj.grad is not None
@@ -179,8 +179,13 @@ class TestMixHop:
     def test_gradient_wrt_input(self):
         layer = MixHopPropagation(2, 2, depth=2, rng=rng(45))
         adj = random_adjacency(3, 46)
-        x = Tensor(rng(47).standard_normal((1, 3, 2)), requires_grad=True)
+        x = Tensor(rng(47).standard_normal((3, 1, 2)), requires_grad=True)
         check_gradients(lambda x: (layer(x, adj) ** 2).sum(), [x], atol=1e-4)
+
+    def test_rejects_feature_major_input(self):
+        layer = MixHopPropagation(2, 2, depth=1, rng=rng(48))
+        with pytest.raises(ValueError, match="node-major"):
+            layer(Tensor(np.ones((1, 4, 2))), random_adjacency(4, 49))
 
     def test_validates_hyperparameters(self):
         with pytest.raises(ValueError):

@@ -175,7 +175,7 @@ def _lstm():
 def _temporal_conv():
     rng = _rng()
     module = nn.TemporalConv2d(2, 3, kernel_size=2, dilation=1, rng=rng)
-    x = Tensor(rng.standard_normal((2, 2, 3, 4)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=True)  # (B, N, T, C)
     return lambda *ts: module(ts[0]).sum(), [x, *_params(module)]
 
 
@@ -183,7 +183,7 @@ def _temporal_conv():
 def _dilated_inception():
     rng = _rng()
     module = nn.DilatedInception(2, 4, kernel_sizes=(2, 3), rng=rng)
-    x = Tensor(rng.standard_normal((2, 2, 3, 5)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 3, 5, 2)), requires_grad=True)  # (B, N, T, C)
     return lambda *ts: module(ts[0]).sum(), [x, *_params(module)]
 
 
@@ -238,7 +238,7 @@ def _mixhop():
     rng = _rng()
     module = nn.MixHopPropagation(3, 2, depth=2, rng=rng)
     adjacency = Tensor(_test_adjacency(rng), requires_grad=True)
-    x = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
+    x = Tensor(rng.standard_normal((4, 2, 3)), requires_grad=True)  # node-major
     return (lambda *ts: module(ts[0], ts[1]).sum(),
             [x, adjacency, *_params(module)])
 

@@ -146,7 +146,7 @@ class TestMixHopPropagationOperator:
     def test_propagation_equals_adjacency_path(self):
         mix = MixHopPropagation(3, 3, depth=2, rng=np.random.default_rng(9))
         rng = np.random.default_rng(10)
-        x = Tensor(rng.standard_normal((4, 5, 7, 3)))
+        x = Tensor(rng.standard_normal((7, 4, 5, 3)))  # node-major (V, S, L, C)
         adj = _adjacency().astype(np.float64)
         via_adjacency = mix(x, Tensor(adj))
         via_operator = mix(x, propagation=Tensor(cached_row_normalized(adj)))
@@ -155,12 +155,12 @@ class TestMixHopPropagationOperator:
     def test_requires_adjacency_or_propagation(self):
         mix = MixHopPropagation(3, 3, rng=np.random.default_rng(11))
         with pytest.raises(ValueError, match="adjacency= or propagation="):
-            mix(Tensor(np.ones((2, 7, 3))))
+            mix(Tensor(np.ones((7, 2, 3))))
 
     def test_learned_graph_still_receives_gradients(self):
         mix = MixHopPropagation(2, 2, rng=np.random.default_rng(12))
         adjacency = Tensor(_adjacency(), requires_grad=True)
-        out = mix(Tensor(np.ones((2, 7, 2))), adjacency)
+        out = mix(Tensor(np.ones((7, 2, 2))), adjacency)
         (out ** 2).sum().backward()
         assert adjacency.grad is not None
         assert np.any(adjacency.grad != 0)

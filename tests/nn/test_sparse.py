@@ -295,7 +295,8 @@ def _parity_case(layer_name, adjacency, dtype, x_data):
                 adjacency.astype(np.dtype(dtype)))
             prop = (CSRMatrix.from_dense(operator) if mode == "always"
                     else Tensor(np.asarray(operator)))
-            call = lambda t: layer(t, propagation=prop)
+            # MixHop is node-major: (S, V, C) -> (V, S, C).
+            call = lambda t: layer(t.transpose(1, 0, 2), propagation=prop)
         if mode == "always" and layer_name == "gcn":
             assert layer._sparse is not None
         x = Tensor(x_data.copy(), requires_grad=True)
