@@ -24,15 +24,23 @@ the >=2x target is always *reported*, and enforced under
 kernel-bound and keeps the floor, mirroring ``bench_stacked``'s strict
 policy).
 
+A memory section refits each model under ``tracemalloc``, eager and
+jitted, and reports both peaks plus the sealed plan's arena sizes
+(forward activations, pooled gradients against one buffer per node,
+scratch).  The jitted peak must not exceed the eager one: capture 1 is
+kept only as a compact signature, the verify epoch's eager gradients are
+dropped, and gradient buffers are pooled by liveness.
+
 Run standalone for the CI smoke: ``python benchmarks/bench_jit.py
---quick`` (few epochs, bit-identity + timing report, no strict target).
-Both entry points write ``BENCH_jit.json`` at the repo root.
+--quick`` (few epochs, bit-identity + timing + memory report, no strict
+target).  Both entry points write ``BENCH_jit.json`` at the repo root.
 """
 
 import json
 import os
 import statistics
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +71,33 @@ def _fit(model_name, jit, epochs, seq_len, values, adjacency, hidden):
     losses = [e.loss for e in history.records]
     durations = [e.duration for e in history.records]
     return losses, test_mse, durations, elapsed, trainer.last_jit
+
+
+def _traced_peak(*args) -> tuple[int, object]:
+    """tracemalloc peak bytes of one ``_fit``, and the fit's ``last_jit``."""
+    tracemalloc.start()
+    try:
+        jit = _fit(*args)[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, jit
+
+
+def run_memory(model: str, args: tuple) -> dict:
+    """Traced peaks of an eager and a jitted fit, and the jitted arena."""
+    eager_peak, _ = _traced_peak(model, False, *args)
+    jit_peak, jit = _traced_peak(model, True, *args)
+    arena = dict(jit.plan.arena_bytes)
+    mb = 1e6
+    print(f"  traced peak            {eager_peak / mb:8.2f} MB eager / "
+          f"{jit_peak / mb:8.2f} MB jitted")
+    print("  arena                  " + ", ".join(
+        f"{name} {size / mb:.2f} MB" for name, size in arena.items()))
+    assert jit_peak <= eager_peak, \
+        f"{model}: jitted peak {jit_peak} B > eager peak {eager_peak} B"
+    return {"eager_peak_bytes": eager_peak, "jit_peak_bytes": jit_peak,
+            "arena_bytes": arena}
 
 
 def run_bench(model: str, epochs: int, seq_len: int = 2,
@@ -108,12 +143,13 @@ def run_bench(model: str, epochs: int, seq_len: int = 2,
             "replay_epoch_seconds": replay_epoch,
             "speedup": speedup,
             "fused_chains": len(jit.plan.fused_chains),
-            "total_replays": jit.total_replays}
+            "total_replays": jit.total_replays,
+            "memory": run_memory(model, args)}
 
 
 def _write_report(reports: list[dict]) -> None:
     payload = {
-        "benchmark": "trace-capture JIT epoch-loop replay",
+        "benchmark": "trace-capture JIT epoch-loop replay and memory",
         "target_speedup": SPEEDUP_TARGET,
         "floor_speedup": SPEEDUP_FLOOR,
         "results": reports,

@@ -480,8 +480,7 @@ class AbstractTensor:
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
+        axes, _ = _tensor_mod.transpose_axes(axes, self.ndim)
         out_shape = tuple(self.shape[a] for a in axes)
         return self._emit("transpose", out_shape, self.dtype,
                           self.requires_grad)
@@ -862,7 +861,7 @@ def _check_constant_pair(p1, p2, name, index, add_key, _trace) -> None:
             add_key("param-identity-changed", op=name, index=index)
         return
     try:
-        _trace._classify_constant(p1, p2)
+        _trace._classify_constant(_trace._constant_sig(p1), p2)
     except _trace.TraceInvalid as exc:
         key = _hazards.match_reason(str(exc)) or "const-value-changed"
         add_key(key, op=name, index=index, message=str(exc))

@@ -20,6 +20,7 @@ broadcast patterns) and validated against finite differences in
 from __future__ import annotations
 
 import contextlib
+import operator
 from time import perf_counter as _perf_counter
 from typing import Callable, Iterable, Sequence
 
@@ -191,9 +192,11 @@ class Tensor:
     #: it exists only on the few tensors the trace JIT annotates (dropout
     #: masks, softmax shifts), and readers use ``getattr(t, "_trace_src",
     #: None)``, so ordinary tensor creation pays nothing for the slot.
+    #: ``__weakref__`` lets the trace JIT's capture signature refer to
+    #: leaves without keeping them alive.
     __slots__ = ("_data", "grad", "requires_grad", "_backward", "_parents",
                  "_grad_owned", "_version", "_parent_versions", "_trace",
-                 "_trace_src")
+                 "_trace_src", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         array = np.asarray(data)
@@ -751,10 +754,8 @@ class Tensor:
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
+        axes, inverse = transpose_axes(axes, self.ndim)
         out_data = self.data.transpose(axes)
-        inverse = tuple(np.argsort(axes))
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.transpose(inverse))
@@ -838,6 +839,37 @@ class Tensor:
 
     def __lt__(self, other):
         return self.data < (other.data if isinstance(other, Tensor) else other)
+
+
+def transpose_axes(axes: tuple, ndim: int) -> tuple[tuple, tuple]:
+    """Normalized permutation and its inverse for :meth:`Tensor.transpose`.
+
+    Empty ``axes`` reverses every axis.  Negative axes count from the end
+    (``-1`` is the last axis); a permutation of the wrong length, an axis
+    out of range, or a repeated axis raises ``ValueError``.  Pure Python:
+    the inverse is built by one scatter over at most ``ndim`` entries.
+    """
+    if not axes:
+        axes = tuple(range(ndim - 1, -1, -1))
+    elif len(axes) != ndim:
+        raise ValueError(
+            f"transpose needs {ndim} axes for a {ndim}-d tensor, got "
+            f"{tuple(axes)}")
+    else:
+        normalized = []
+        for axis in map(operator.index, axes):
+            if not -ndim <= axis < ndim:
+                raise ValueError(
+                    f"transpose axis {axis} is out of range for a {ndim}-d "
+                    f"tensor")
+            normalized.append(axis % ndim)
+        axes = tuple(normalized)
+        if len(set(axes)) != ndim:
+            raise ValueError(f"transpose axes {axes} repeat an axis")
+    inverse = [0] * ndim
+    for position, axis in enumerate(axes):
+        inverse[axis] = position
+    return axes, tuple(inverse)
 
 
 def unfold_time_length(shape: tuple, size: int, dilation: int,

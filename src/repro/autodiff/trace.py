@@ -8,21 +8,23 @@ and a fresh output array per intermediate.  This module removes all of
 that for epochs 3..N:
 
 * **Capture** (epoch 1): :func:`repro.autodiff.tensor.set_trace_hook`
-  records every graph-wired tensor in creation order — the tape.
+  records every graph-wired tensor in creation order — the tape — and
+  :meth:`EpochJIT.seal` reduces it to a compact per-node signature, so
+  the epoch-1 graph can die before epoch 2 runs.
 * **Verify** (epoch 2): a second capture is compared node-by-node against
-  the first — op identity (the backward closure's *code object*, which is
-  per definition site), output shapes and dtypes, scalar operands
-  (recovered from closure free variables), parameter identities and
-  constant classifications all must match.  Any difference marks the
+  that signature — op identity (the backward closure's *code object*,
+  which is per definition site), output shapes and dtypes, scalar
+  operands (recovered from closure free variables), parameter identities
+  and constant classifications all must match.  Any difference marks the
   trace invalid and the fit stays eager.
 * **Replay** (epochs 3..N): the verified tape is compiled into a flat
   list of argument-free closures over a pre-planned buffer arena — the
   verify epoch's own intermediate arrays, written in place with
-  ``out=`` — covering forward, backward (in the exact reverse-topological
-  order the eager walk would use) and the trainer tail (loss readout,
-  ``after_backward`` hooks, ``optimizer.step``).  Runs of single-parent
-  elementwise ops are fused into single multi-ufunc closures sharing one
-  output buffer.
+  ``out=``, plus gradient buffers pooled by liveness — covering forward,
+  backward (in the exact reverse-topological order the eager walk would
+  use) and the trainer tail (loss readout, ``after_backward`` hooks,
+  ``optimizer.step``).  Runs of single-parent elementwise ops are fused
+  into single multi-ufunc closures sharing one output buffer.
 
 Bit-identity contract
 ---------------------
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import weakref
 from time import perf_counter
 from typing import Callable
 
@@ -117,14 +120,18 @@ def _same_provider(p1, p2) -> bool:
 class _Rule:
     """How one op (identified by its backward code object) is replayed."""
 
-    __slots__ = ("name", "fuse", "signature", "verify", "forward", "backward")
+    __slots__ = ("name", "fuse", "signature", "verify", "keeps", "forward",
+                 "backward")
 
     def __init__(self, name, forward, backward, signature=None, verify=None,
-                 fuse=None):
+                 keeps=(), fuse=None):
         self.name = name
         self.fuse = fuse  # None | "interior" | "terminal"
         self.signature = signature or (lambda cv: ())
         self.verify = verify  # optional extra cross-epoch check
+        # The epoch-1 closure values ``verify`` reads: kept in the compact
+        # capture signature, so none may hold an activation.
+        self.keeps = keeps
         self.forward = forward  # emit_forward(C, rec) -> None
         self.backward = backward  # emit_backward(C, rec) -> None
 
@@ -419,9 +426,7 @@ def _bw_transpose(C, rec):
 
 def _bw_getitem(C, rec):
     g, key = C.gbuf(rec), rec.cv["key"]
-    in_shape = rec.cv["in_shape"]
-    scratch = rec.aux.setdefault(
-        "scatter", np.empty(in_shape, dtype=g.dtype))
+    scratch = C.scratch(rec.cv["in_shape"], g.dtype)
 
     def fn():
         scratch[...] = 0.0
@@ -630,7 +635,8 @@ def _build_rules() -> dict:
         rule(a[0:1], "__getitem__", _fw_copy_eval(
             lambda C, rec: (lambda src=C.pbuf(rec.parents[0]),
                             key=rec.cv["key"]: src[key])), _bw_getitem,
-            signature=_sig_keys("key"), verify=_verify_getitem)
+            signature=_sig_keys("key"), verify=_verify_getitem,
+            keeps=("fancy",))
         m3 = Tensor(np.ones((2, 2, 3)), requires_grad=True)
         m2 = Tensor(np.ones((3, 4)), requires_grad=True)
         rule(m3 @ m2, "__matmul__", _fw_matmul_flat, _bw_matmul_flat)
@@ -646,7 +652,7 @@ def _build_rules() -> dict:
         rule(stack([a, b], axis=0), "stack", _fw_stack, _bw_stack,
              signature=_sig_keys("axis"))
         rule(where(np.ones((2, 3), dtype=bool), a, b), "where", _fw_where,
-             _bw_where, verify=_verify_where)
+             _bw_where, verify=_verify_where, keeps=("cond",))
         try:
             from ..nn.stacked_ops import (lane_bias_add, lane_matmul,
                                           lane_propagate)
@@ -662,7 +668,7 @@ def _build_rules() -> dict:
                  _bw_lane_bias_add)
             rule(lane_propagate(np.ones((2, 3, 3)), lx), "lane_propagate",
                  _fw_lane_propagate, _bw_lane_propagate,
-                 verify=_verify_lane_propagate)
+                 verify=_verify_lane_propagate, keeps=("operator",))
         try:
             from ..nn.sparse import CSRMatrix, csr_matmul
         except ImportError:  # pragma: no cover - nn layer always present
@@ -671,7 +677,7 @@ def _build_rules() -> dict:
             sx = Tensor(np.ones((2, 3, 4)), requires_grad=True)
             rule(csr_matmul(CSRMatrix.from_dense(np.eye(3)), sx),
                  "csr_matmul", _fw_csr_matmul, _bw_csr_matmul,
-                 verify=_verify_csr_matmul)
+                 verify=_verify_csr_matmul, keeps=("operator",))
     finally:
         _tensor_mod.set_trace_hook(saved_hook)
     return rules
@@ -765,78 +771,153 @@ def chain_reference(ops) -> Callable[[Tensor], Tensor]:
 class _Record:
     """One tape node prepared for compilation (bound to epoch-2 storage)."""
 
-    __slots__ = ("tensor", "rule", "cv", "parents", "gbuf", "aux")
+    __slots__ = ("index", "tensor", "rule", "cv", "parents", "gbuf", "aux")
 
-    def __init__(self, tensor, rule, cv, parents):
+    def __init__(self, index, tensor, rule, cv, parents):
+        self.index = index  # tape position
         self.tensor = tensor
         self.rule = rule
         self.cv = cv
         self.parents = parents  # list of spec tuples
-        self.gbuf = None
+        self.gbuf = None  # gradient buffer while it is live during compile
         self.aux = {}
 
 
-def _classify_constant(t1, t2) -> tuple:
-    src1 = getattr(t1, "_trace_src", None)
+class _NodeSig:
+    """What verification needs of one epoch-1 node, without the node.
+
+    ``parents`` holds one ``(requires_grad, wired, ref)`` triple per
+    input: ``ref`` is the input's tape index for a wired node, a weak
+    reference for a parameter leaf, and a :func:`_constant_sig` for a
+    constant.  Only ``rule.keeps`` closure values survive, so no
+    activation of the captured epoch outlives :meth:`EpochJIT.seal`.
+    """
+
+    __slots__ = ("code", "qualname", "shape", "dtype", "signature",
+                 "unreadable", "kept", "parents")
+
+    def __init__(self, node, rule, index):
+        backward = node._backward
+        self.code = backward.__code__
+        self.qualname = backward.__qualname__
+        self.shape, self.dtype = node.shape, node.dtype
+        self.signature = self.unreadable = None
+        self.kept = {}
+        if rule is not None:
+            cv = _closure_vars(backward)
+            try:
+                self.signature = rule.signature(cv)
+            except Exception as error:
+                self.unreadable = str(error)
+            self.kept = {key: cv[key] for key in rule.keeps}
+        parents = []
+        for p in node._parents:
+            wired = p._backward is not None
+            if wired:
+                ref = index.get(id(p))
+            elif p.requires_grad:
+                ref = weakref.ref(p)
+            else:
+                ref = _constant_sig(p)
+            parents.append((p.requires_grad, wired, ref))
+        self.parents = tuple(parents)
+
+
+class _Signature:
+    """The compact record of capture 1 that epoch 2 is verified against."""
+
+    __slots__ = ("nodes", "root", "watch")
+
+    def __init__(self, tape, root, watch):
+        rules = _rules()
+        index = {id(t): i for i, t in enumerate(tape)}
+        self.nodes = [_NodeSig(t, rules.get(t._backward.__code__), index)
+                      for t in tape]
+        self.root = index.get(id(root))
+        self.watch = {name: index.get(id(t)) for name, t in watch.items()}
+
+
+def _constant_sig(t) -> tuple:
+    """``(kind, provider, ref, data)``: what a constant leaf is matched by.
+
+    A volatile constant is matched by its provider and a derived one by
+    its annotation alone.  Anything else keeps a weak reference (identity
+    with the epoch-2 leaf) and its array (value equality).
+    """
+    src = getattr(t, "_trace_src", None)
+    kind = None if src is None else src[0]
+    if kind == "volatile":
+        return (kind, src[1], None, None)
+    if kind == "derived":
+        return (kind, None, None, None)
+    return (kind, None, weakref.ref(t), t._data)
+
+
+def _classify_constant(sig1, t2) -> tuple:
+    kind1, provider1, ref1, data1 = sig1
     src2 = getattr(t2, "_trace_src", None)
-    if (src1 is None) != (src2 is None) or \
-            (src1 is not None and src1[0] != src2[0]):
+    if (kind1 is None) != (src2 is None) or \
+            (kind1 is not None and kind1 != src2[0]):
         raise TraceInvalid(_reason("const-annotation-changed"))
-    if src1 is not None and src1[0] == "volatile":
-        if not _same_provider(src1[1], src2[1]):
+    if kind1 == "volatile":
+        if not _same_provider(provider1, src2[1]):
             raise TraceInvalid(_reason("const-provider-changed"))
         return ("volatile", t2, src2[1])
-    if src1 is not None and src1[0] == "derived":
+    if kind1 == "derived":
         return ("derived", t2, src2[1], src2[2])
-    if t1 is t2:
+    if ref1() is t2:
         # Persistent external tensor (inputs, adjacency): bound live and
         # guarded per replay, so a ``.data`` rebind forces a retrace.
         return ("const", t2, True)
-    if t1.data.dtype == t2.data.dtype and np.array_equal(t1.data, t2.data):
+    data2 = t2._data
+    if data1.dtype == data2.dtype and np.array_equal(data1, data2):
         return ("const", t2, False)  # stable snapshot (equal both epochs)
     raise TraceInvalid(_reason("const-value-changed"))
 
 
-def _verify(tape1, tape2, root1, root2, watch1, watch2) -> list:
-    """Match two captured tapes node-by-node; return compile-ready records.
+def _verify(sig1, tape2, root2, watch2) -> list:
+    """Match epoch 2 against capture 1's signature; return compile records.
 
     Raises :class:`TraceInvalid` on the first structural difference: op
     code object, output shape/dtype, scalar operands, parent wiring,
     parameter identity or constant classification.
     """
-    if len(tape1) != len(tape2):
+    if len(sig1.nodes) != len(tape2):
         raise TraceInvalid(_reason("op-count-changed",
-                                   n1=len(tape1), n2=len(tape2)))
+                                   n1=len(sig1.nodes), n2=len(tape2)))
     if not tape2:
         raise TraceInvalid(_reason("empty-tape"))
     rules = _rules()
-    idx1 = {id(t): i for i, t in enumerate(tape1)}
     idx2 = {id(t): i for i, t in enumerate(tape2)}
-    if idx1.get(id(root1)) != idx2.get(id(root2)) or id(root2) not in idx2:
+    if sig1.root != idx2.get(id(root2)) or id(root2) not in idx2:
         raise TraceInvalid(_reason("root-moved"))
     for name in watch2:
-        if idx1.get(id(watch1[name])) != idx2.get(id(watch2[name])):
+        if sig1.watch[name] != idx2.get(id(watch2[name])):
             raise TraceInvalid(_reason("watch-moved", name=name))
     records: list[_Record] = []
-    for i, (t1, t2) in enumerate(zip(tape1, tape2)):
+    for i, (n1, t2) in enumerate(zip(sig1.nodes, tape2)):
         code = t2._backward.__code__
-        if t1._backward.__code__ is not code:
+        if n1.code is not code:
             raise TraceInvalid(_reason(
-                "op-changed", i=i, q1=t1._backward.__qualname__,
+                "op-changed", i=i, q1=n1.qualname,
                 q2=t2._backward.__qualname__))
         rule = rules.get(code)
         if rule is None:
             raise TraceInvalid(_reason(
                 "op-unsupported", i=i,
                 op=t2._backward.__qualname__.split('.<locals>')[0]))
-        if t1.shape != t2.shape or t1.dtype != t2.dtype:
+        if n1.shape != t2.shape or n1.dtype != t2.dtype:
             raise TraceInvalid(_reason(
                 "shape-changed", i=i, op=rule.name,
-                before=f"{t1.shape}/{t1.dtype}",
+                before=f"{n1.shape}/{n1.dtype}",
                 after=f"{t2.shape}/{t2.dtype}"))
-        cv1, cv2 = _closure_vars(t1._backward), _closure_vars(t2._backward)
+        if n1.unreadable is not None:
+            raise TraceInvalid(_reason(
+                "signature-unreadable", i=i, op=rule.name,
+                error=n1.unreadable))
+        cv2 = _closure_vars(t2._backward)
         try:
-            if rule.signature(cv1) != rule.signature(cv2):
+            if n1.signature != rule.signature(cv2):
                 raise TraceInvalid(_reason(
                     "scalar-operands-changed", i=i, op=rule.name))
         except TraceInvalid:
@@ -846,30 +927,30 @@ def _verify(tape1, tape2, root1, root2, watch1, watch2) -> list:
                 "signature-unreadable", i=i, op=rule.name,
                 error=error)) from error
         if rule.verify is not None:
-            rule.verify(cv1, cv2)
-        if len(t1._parents) != len(t2._parents):
+            rule.verify(n1.kept, cv2)
+        if len(n1.parents) != len(t2._parents):
             raise TraceInvalid(_reason("arity-changed", i=i, op=rule.name))
         specs = []
-        for p1, p2 in zip(t1._parents, t2._parents):
-            if p1.requires_grad != p2.requires_grad:
+        for (requires1, wired1, ref1), p2 in zip(n1.parents, t2._parents):
+            if requires1 != p2.requires_grad:
                 raise TraceInvalid(_reason("requires-grad-flipped", i=i))
-            wired1, wired2 = p1._backward is not None, p2._backward is not None
+            wired2 = p2._backward is not None
             if wired1 != wired2:
                 raise TraceInvalid(_reason("wiring-changed", i=i))
             if wired2:
-                j1, j2 = idx1.get(id(p1)), idx2.get(id(p2))
-                if j2 is None or j1 != j2:
+                j2 = idx2.get(id(p2))
+                if j2 is None or ref1 != j2:
                     raise TraceInvalid(_reason(
                         "graph-extends-beyond-epoch", i=i, op=rule.name))
                 specs.append(("node", j2))
             elif p2.requires_grad:
-                if p1 is not p2:
+                if ref1() is not p2:
                     raise TraceInvalid(_reason(
                         "param-identity-changed", i=i, op=rule.name))
                 specs.append(("param", p2))
             else:
-                specs.append(_classify_constant(p1, p2))
-        records.append(_Record(t2, rule, cv2, specs))
+                specs.append(_classify_constant(ref1, p2))
+        records.append(_Record(i, t2, rule, cv2, specs))
     return records
 
 
@@ -895,12 +976,56 @@ class _LeafGrad:
         self.g = None
 
 
+class _Pool:
+    """Free lists of equal-layout buffers, handed out by liveness.
+
+    :meth:`acquire` returns an entry ``(key, slot, buffer)``; the key is
+    ``(shape, dtype, strides)``.  Requests without a template (or with a
+    C-contiguous one) get C-order buffers; a strided template gets
+    ``np.empty_like``'s layout, exactly the array an unpooled
+    ``empty_like`` would have made.  ``nbytes`` counts what the pool
+    allocated; a buffer's ``slot`` is its allocation number.
+    """
+
+    __slots__ = ("free", "nbytes", "count")
+
+    def __init__(self):
+        self.free: dict[tuple, list] = {}
+        self.nbytes = 0
+        self.count = 0
+
+    def acquire(self, shape, dtype, like=None) -> tuple:
+        if like is not None and like.flags.c_contiguous:
+            like = None
+        key = (tuple(shape), np.dtype(dtype),
+               None if like is None else like.strides)
+        free = self.free.get(key)
+        if free:
+            return free.pop()
+        buf = np.empty(shape, dtype=dtype) if like is None \
+            else np.empty_like(like)
+        self.count += 1
+        self.nbytes += buf.nbytes
+        return key, self.count - 1, buf
+
+    def release(self, entry) -> None:
+        self.free.setdefault(entry[0], []).append(entry)
+
+
 class _Plan:
-    """A compiled epoch: flat call list over a persistent buffer arena."""
+    """A compiled epoch: flat call list over a persistent buffer arena.
+
+    ``arena_bytes`` sizes the arena: ``activations`` (forward storage of
+    the verify epoch plus relu/abs masks), ``gradients`` (the liveness
+    pool plus the pinned root seed and watched gradients),
+    ``gradients_unpooled`` (one buffer per node, what the pool replaces)
+    and ``scratch`` (the pooled transient buffers).  ``grad_lifetimes``
+    lists ``(node, slot, first_call, last_call)`` per pooled gradient.
+    """
 
     __slots__ = ("calls", "meta", "tail", "root_buf", "watch_bufs",
                  "param_grads", "guards", "fused_chains", "replays",
-                 "_records")
+                 "arena_bytes", "grad_lifetimes", "_records")
 
     def __init__(self):
         self.calls: list[Callable[[], None]] = []
@@ -912,7 +1037,16 @@ class _Plan:
         self.guards: list[tuple] = []       # (tensor, bound data array)
         self.fused_chains: list[dict] = []
         self.replays = 0
+        self.arena_bytes: dict[str, int] = {}
+        self.grad_lifetimes: list[tuple] = []
         self._records: list = []  # keeps the arena (epoch-2 graph) alive
+
+    def release(self) -> None:
+        """Drop the calls, records and buffers; keep the summary fields."""
+        self.calls, self.meta, self.tail = [], [], ()
+        self.root_buf = None
+        self.watch_bufs, self.param_grads, self.guards = {}, [], []
+        self.grad_lifetimes, self._records = [], []
 
     def guards_ok(self) -> bool:
         for owner, bound in self.guards:
@@ -960,12 +1094,22 @@ def _active_profiler():
 class _Compiler:
     """Turns verified records into a :class:`_Plan`.
 
-    The buffer arena is the verify epoch's own arrays: node outputs are
+    The forward arena is the verify epoch's own arrays: node outputs are
     written in place (``out=``), so view-producing ops (transpose, basic
     slicing, aliasing reshape) need no replay step at all — their epoch-2
     views track the parent writes automatically — and every array bound
     inside the captured backward closures (e.g. ``b`` in matmul) stays
     valid because it *is* the arena buffer.
+
+    Gradient buffers are planned by liveness in backward emission order.
+    A node's buffer is drawn from a pool at its first contribution and
+    returned once the node's own backward is emitted: reverse-topological
+    order puts every consumer's contribution first, so nothing reads or
+    writes it after that.  The first contribution overwrites the whole
+    buffer (``copyto``), so a reused buffer's stale values never leak.
+    Transient scratch (the getitem scatter, fused-chain temporaries) lives
+    for one node's emission.  The root seed and watched nodes' gradients
+    are pinned outside the pool.
     """
 
     def __init__(self, records, root_index, watch):
@@ -974,7 +1118,15 @@ class _Compiler:
         self.watch = watch
         self.plan = _Plan()
         self.plan._records = records
-        self._written: set[int] = set()     # id(grad buffer) already stored
+        self._grads = _Pool()
+        self._scratch = _Pool()
+        self._transient: list[tuple] = []   # scratch entries of this node
+        self._live: dict[int, tuple] = {}   # node -> (pool entry, first call)
+        self._pins: set[int] = {root_index}
+        self._pinned_bytes = 0
+        self._node_grad_bytes = 0
+        self._retired: set[int] = set()     # nodes whose backward is emitted
+        self._written: set = set()  # node indices / leaf cells stored once
         self._param_gbufs: dict[int, np.ndarray] = {}
         self._guarded: set[int] = set()
         self._refilled: set[int] = set()
@@ -1001,13 +1153,45 @@ class _Compiler:
         return spec[0] in ("node", "param")
 
     def gbuf(self, rec) -> np.ndarray:
+        """The node's gradient buffer, drawn at first use (C order)."""
         if rec.gbuf is None:
-            rec.gbuf = np.empty(rec.tensor.shape,
-                                dtype=rec.tensor._data.dtype)
+            shape, dtype = rec.tensor.shape, rec.tensor._data.dtype
+            if rec.index in self._pins:
+                rec.gbuf = np.empty(shape, dtype=dtype)
+                self._pinned_bytes += rec.gbuf.nbytes
+            else:
+                entry = self._grads.acquire(shape, dtype)
+                self._live[rec.index] = (entry, len(self.plan.calls))
+                rec.gbuf = entry[2]
+            self._node_grad_bytes += rec.gbuf.nbytes
         return rec.gbuf
+
+    def scratch(self, shape, dtype, like=None) -> np.ndarray:
+        """A transient buffer, live until the current node is emitted."""
+        entry = self._scratch.acquire(shape, dtype, like)
+        self._transient.append(entry)
+        return entry[2]
+
+    def _retire(self, rec) -> None:
+        """``rec``'s backward is emitted: its gradient and scratch die."""
+        for entry in self._transient:
+            self._scratch.release(entry)
+        self._transient.clear()
+        self._retired.add(rec.index)
+        live = self._live.pop(rec.index, None)
+        if live is not None:
+            entry, first_call = live
+            self._grads.release(entry)
+            self.plan.grad_lifetimes.append(
+                (rec.index, entry[1], first_call, len(self.plan.calls) - 1))
+            rec.gbuf = None
 
     def _grad_target(self, spec):
         if spec[0] == "node":
+            if spec[1] in self._retired:
+                raise RuntimeError(
+                    f"trace compile: node {spec[1]} receives a gradient "
+                    "after its backward was emitted")
             return self.gbuf(self.records[spec[1]])
         leaf = spec[1]
         cell = self._param_gbufs.get(id(leaf))
@@ -1033,8 +1217,10 @@ class _Compiler:
         owned-copy allocation per replay (see :class:`_LeafGrad`).
         """
         dst = self._grad_target(spec)
-        first = id(dst) not in self._written
-        self._written.add(id(dst))
+        # Per destination, not per buffer: pooled buffers are reused.
+        key = spec[1] if spec[0] == "node" else dst
+        first = key not in self._written
+        self._written.add(key)
         if isinstance(dst, _LeafGrad):
             dtype = dst.leaf._data.dtype
             if first:
@@ -1082,6 +1268,10 @@ class _Compiler:
 
     def compile(self) -> _Plan:
         records = self.records
+        # The eager epoch's interior gradients are dead: replay reads only
+        # forward storage (``tensor._data``) and its own gradient arena.
+        for rec in records:
+            rec.tensor.grad = None
         index = {id(rec.tensor): i for i, rec in enumerate(records)}
         topo = self._topo()
         reachable = {index[id(t)] for t in topo if id(t) in index}
@@ -1095,6 +1285,7 @@ class _Compiler:
             if j is None:
                 raise TraceInvalid(_reason("watch-not-captured", name=name))
             pinned.add(j)
+            self._pins.add(j)
         for i in reachable:
             for spec in records[i].parents:
                 if spec[0] == "node" and spec[1] in reachable:
@@ -1136,7 +1327,9 @@ class _Compiler:
         root = records[self.root_index]
         seed = np.ones_like(root.tensor._data)
         root.gbuf = seed
-        self._written.add(id(seed))
+        self._pinned_bytes += seed.nbytes
+        self._node_grad_bytes += seed.nbytes
+        self._written.add(self.root_index)
         self.plan.root_buf = root.tensor._data
         for t in reversed(topo):
             i = index.get(id(t))
@@ -1149,6 +1342,7 @@ class _Compiler:
                     records[j].rule.name for j in members) + "]"
                 self._emit_chain_backward(members)
                 self._current_name = ""
+                self._retire(records[members[-1]])
                 continue
             if i in interior or (i in chain_at_last
                                  and len(chain_at_last[i]) > 1):
@@ -1156,6 +1350,7 @@ class _Compiler:
             self._current_name = rec.rule.name
             rec.rule.backward(self, rec)
             self._current_name = ""
+            self._retire(rec)
 
         # Expose gradients on the parameter leaves exactly as the eager
         # walk leaves them: owned, persistent arrays.
@@ -1170,6 +1365,18 @@ class _Compiler:
 
         for name, t in self.watch.items():
             self.plan.watch_bufs[name] = t._data
+        owners = {}
+        for rec in records:
+            for array in (rec.tensor._data, *rec.aux.values()):
+                while isinstance(array.base, np.ndarray):
+                    array = array.base
+                owners[id(array)] = array.nbytes
+        self.plan.arena_bytes = {
+            "activations": sum(owners.values()),
+            "gradients": self._grads.nbytes + self._pinned_bytes,
+            "gradients_unpooled": self._node_grad_bytes,
+            "scratch": self._scratch.nbytes,
+        }
         return self.plan
 
     # -- pieces --------------------------------------------------------
@@ -1265,8 +1472,11 @@ class _Compiler:
         last = records[members[-1]]
         first = records[members[0]]
         g = self.gbuf(last)
-        s1 = np.empty_like(last.tensor._data)
-        s2 = np.empty_like(last.tensor._data)
+        out = last.tensor._data
+        # ``like=out``: the result may reach a leaf's order-'K' copy, so
+        # the temporaries keep the output's memory layout.
+        s1 = self.scratch(out.shape, out.dtype, like=out)
+        s2 = self.scratch(out.shape, out.dtype, like=out)
         transforms = []
         for j in reversed(members):
             rec = records[j]
@@ -1297,6 +1507,7 @@ class EpochJIT:
                 loss = forward(); loss.backward()
             jit.seal(loss)
             ... eager hooks / step ...
+        jit.release()
 
     ``tail`` closures are appended to the flat call list of every replay
     (loss readout, ``after_backward`` hooks, ``optimizer.step``), so a
@@ -1306,15 +1517,20 @@ class EpochJIT:
     fit (``disabled_reason`` says why).  An active anomaly mode skips
     replay for that epoch without burning a retrace — the sanitizer needs
     the eager graph.
+
+    Capture 1 is kept only as a compact :class:`_Signature`, so the
+    caller may (and the trainers do) drop the first captured graph before
+    the second forward runs.  :meth:`release` frees the plan's arena once
+    the epoch loop is over; the summary fields (``total_replays``,
+    ``retrace_count``, ``disabled_reason``, ``off``, ``plan.fused_chains``
+    and ``plan.arena_bytes``) stay readable.
     """
 
     def __init__(self, tail=(), max_retraces: int = 2):
         self._tail = tuple(tail)
         self._state = "capture1"
         self._retraces_left = max_retraces
-        self._tape1: list[Tensor] | None = None
-        self._root1: Tensor | None = None
-        self._watch1: dict | None = None
+        self._sig1: _Signature | None = None
         self._nodes: list[Tensor] = []
         self.plan: _Plan | None = None
         self.disabled_reason: str | None = None
@@ -1337,13 +1553,13 @@ class EpochJIT:
     def _disable(self, reason: str) -> None:
         self._state = "off"
         self.disabled_reason = reason
-        self._tape1 = self._root1 = self._watch1 = None
+        self._sig1 = None
         self.plan = None
 
     def _invalidate(self, reason: str) -> None:
         """Guard failure: retrace if budget remains, else go eager for good."""
         self.plan = None
-        self._tape1 = self._root1 = self._watch1 = None
+        self._sig1 = None
         if self._retraces_left > 0:
             self._retraces_left -= 1
             self.retrace_count += 1
@@ -1376,17 +1592,26 @@ class EpochJIT:
             return  # nothing was captured this epoch; try again next epoch
         nodes, self._nodes = self._nodes, []
         watch = dict(watch or {})
-        if self._state == "capture1":
-            self._tape1, self._root1, self._watch1 = nodes, root, watch
-            self._state = "capture2"
-            return
-        # Verify+compile is the JIT's one-time cost; meter it so a profiled
-        # fit attributes the capture epochs' overhead to a named span.
+        # Signature, verify and compile are the JIT's one-time cost; meter
+        # them so a profiled fit attributes the capture epochs' overhead to
+        # a named span.
         prof = _active_profiler()
         start = prof._begin() if prof is not None else 0.0
         try:
-            records = _verify(self._tape1, nodes, self._root1, root,
-                              self._watch1, watch)
+            if self._state == "capture1":
+                self._sig1 = _Signature(nodes, root, watch)
+                self._state = "capture2"
+            else:
+                self._compile(nodes, root, watch)
+        finally:
+            if prof is not None:
+                prof._end("autodiff", "trace.compile", "compile", start, 0)
+
+    def _compile(self, nodes, root, watch) -> None:
+        """Verify capture 2 against capture 1's signature, then compile."""
+        sig1, self._sig1 = self._sig1, None
+        try:
+            records = _verify(sig1, nodes, root, watch)
             root_index = next(i for i, rec in enumerate(records)
                               if rec.tensor is root)
             self.plan = _Compiler(records, root_index, watch).compile()
@@ -1395,10 +1620,20 @@ class EpochJIT:
             self._disable(str(invalid))
         else:
             self._state = "ready"
-        finally:
-            self._tape1 = self._root1 = self._watch1 = None
-            if prof is not None:
-                prof._end("autodiff", "trace.compile", "compile", start, 0)
+
+    def release(self) -> None:
+        """End of the epoch loop: free the plan's arena and the tail.
+
+        No replay or capture happens afterwards; the summary fields stay
+        readable (see the class docstring).
+        """
+        self._tail = ()
+        self._sig1 = None
+        self._nodes = []
+        if self.plan is not None:
+            self.plan.release()
+        if self._state != "off":
+            self._state = "released"
 
     # -- replay --------------------------------------------------------
     def replay(self) -> bool:

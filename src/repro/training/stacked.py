@@ -222,8 +222,7 @@ def _clip_lane_grads(parameters: list, active: np.ndarray,
 
     The per-lane reduction deliberately sums over the strided lane slice
     (``(grad[k] ** 2).sum()``) rather than a flattening ``reshape``: solo
-    leaf
-    gradients keep the memory layout of the transpose views they came
+    leaf gradients keep the memory layout of the transpose views they came
     from, and numpy's pairwise summation follows that layout.  A reshape
     of a non-contiguous slice would force a C-order copy and reduce in a
     different pairwise order, producing a norm a few ULPs away from the
@@ -486,7 +485,8 @@ def _execute_stack(lanes: list[_Lane],
             norms = clip_holder["norms"]
         else:
             optimizer.zero_grad()
-            capture = jit.capture() if jit is not None \
+            capturing = jit is not None and jit.wants_capture
+            capture = jit.capture() if capturing \
                 else contextlib.nullcontext()
             with capture:
                 lane_loss = _lane_losses(forward(), targets, loss_name)
@@ -495,10 +495,14 @@ def _execute_stack(lanes: list[_Lane],
                                                dtype=lane_loss.data.dtype)))
                 total = masked.sum()
                 total.backward()
-            if jit is not None:
+            if capturing:
                 jit.seal(total, watch={"lane_loss": lane_loss})
             loss_values = [float(lane_loss.data[k])
                            for k in range(num_lanes)]
+            if capturing:
+                # As in ``Trainer.fit``: only capture epochs free the
+                # graph before the next forward.
+                lane_loss = masked = total = None
             norms = None
             if grad_clip is not None:
                 norms = _clip_lane_grads(param_list, active, grad_clip)
@@ -527,6 +531,8 @@ def _execute_stack(lanes: list[_Lane],
                 active[k] = False
         if not active.any():
             break
+    if jit is not None:
+        jit.release()
     # A stopped lane is frozen (the optimizer skips its rows), so ending
     # every lane's fit here leaves the same weights as ending it at its
     # stop epoch.

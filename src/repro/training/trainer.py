@@ -274,10 +274,20 @@ class Trainer:
                         loss = loss_fn(model(inputs), targets)
                         loss.backward()
                     jit.seal(loss)
+                    ctx.loss = loss.item()
+                    # The sealed signature (or plan) keeps what replay
+                    # needs, so the captured graph can die before the next
+                    # forward.  Plain eager epochs keep it until ``loss``
+                    # is reassigned: freeing the whole graph first lets
+                    # glibc return its pages to the OS, and every epoch
+                    # then faults them back in (perfbench fit-eager on a
+                    # 2-vCPU host: 7.0 -> 4.8 epochs/s while RSS fell from
+                    # 611 to 402 MB).  Capture epochs pay that once a fit.
+                    loss = None
                 else:
                     loss = loss_fn(model(inputs), targets)
                     loss.backward()
-                ctx.loss = loss.item()
+                    ctx.loss = loss.item()
                 for hook in after_backward:
                     hook(ctx)
                 optimizer.step()
@@ -296,6 +306,8 @@ class Trainer:
                     hook(ctx)
             finally:
                 model.train(was_training)
+                if jit is not None:
+                    jit.release()
         history.stop_reason = ctx.stop_reason
         return history
 

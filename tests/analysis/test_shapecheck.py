@@ -122,6 +122,15 @@ class TestAbstractTensorHazards:
         assert tuple(map(int, out.shape)) == (24,)
         assert not ctx.hazards  # reshape itself replays fine
 
+    def test_transpose_normalizes_negative_axes(self):
+        ctx = _Ctx()
+        x = AbstractTensor((2, 3, 4), np.float64, True, ctx)
+        assert tuple(map(int, x.transpose(1, 0, -1).shape)) == (3, 2, 4)
+        with pytest.raises(ValueError, match="repeat an axis"):
+            x.transpose(0, -3, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            x.transpose(0, 1, 3)
+
     def test_composites_lower_without_hazards(self):
         ctx = _Ctx()
         x = AbstractTensor((3, 4), np.float64, True, ctx)

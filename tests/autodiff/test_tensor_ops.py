@@ -239,6 +239,39 @@ class TestUnfoldTime:
             3, dilation=2, left_pad=1).shape == (2, 1, 3)
 
 
+class TestTranspose:
+    def test_negative_axis_grad_has_the_input_shape(self):
+        # The inverse permutation must come from the normalized axes:
+        # argsort over (1, 0, -1) would send a (4, 2, 3) grad to x.
+        x = leaf((2, 3, 4), 38)
+        out = x.transpose(1, 0, -1)
+        assert out.shape == (3, 2, 4)
+        weights = np.arange(24.0).reshape(3, 2, 4)
+        (out * Tensor(weights)).sum().backward()
+        assert x.grad.shape == (2, 3, 4)
+        np.testing.assert_array_equal(x.grad, weights.transpose(1, 0, 2))
+
+    def test_negative_axes_gradcheck(self):
+        check_gradients(lambda a: (a.transpose(-2, -3, -1) * 2).sum(),
+                        [leaf((2, 3, 4), 39)])
+
+    def test_negative_axes_match_positive(self):
+        x = leaf((2, 3, 4), 40)
+        np.testing.assert_array_equal(x.transpose(2, -3, 1).data,
+                                      x.transpose(2, 0, 1).data)
+
+    @pytest.mark.parametrize("axes, match", [
+        ((0, 0, 1), "repeat an axis"),
+        ((0, -3, 1), "repeat an axis"),
+        ((0, 1, 3), "out of range"),
+        ((0, 1, -4), "out of range"),
+        ((0, 1), "needs 3 axes"),
+    ])
+    def test_rejects_a_bad_permutation(self, axes, match):
+        with pytest.raises(ValueError, match=match):
+            leaf((2, 3, 4), 41).transpose(*axes)
+
+
 class TestBackwardSemantics:
     def test_grad_accumulates_across_backward_calls(self):
         x = leaf((2,), 50)

@@ -10,10 +10,12 @@ plan replays (dropout RNG advances, parameter values, lane masks).
 """
 
 import contextlib
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.analysis.hazards import reason
 from repro.autodiff import (EpochJIT, Tensor, check_gradients,
                             detect_anomaly, huber, mse, where)
 from repro.autodiff.trace import TraceInvalid, chain_reference
@@ -57,6 +59,9 @@ def _loop(epochs, use_jit, loss_fn, params, tail=None, before_epoch=None,
         if jit is not None:
             jit.seal(loss, watch=watch() if watch else None)
         losses.append(loss.item())
+        # Like the trainers' capture epochs: the graph dies before the next
+        # forward, so verification runs against the compact signature only.
+        loss = None
         tail()
     return losses, jit
 
@@ -137,6 +142,27 @@ class TestReplayBitIdentity:
                             watch=lambda: {"pred": holder["pred"]})
         assert jit.total_replays == 4
         np.testing.assert_array_equal(jit.value("pred"), x @ w.data + b.data)
+
+
+    def test_negative_axis_transpose_replays_bitwise(self):
+        # _bw_transpose replays the eager op's inverse permutation, which
+        # must come from the normalized axes.
+        results = []
+        for use_jit in (False, True):
+            rng = np.random.default_rng(5)
+            w = Tensor(rng.normal(size=(2, 3, 4)).astype(np.float32),
+                       requires_grad=True)
+            scale = rng.normal(size=(3, 2, 4)).astype(np.float32)
+
+            def loss_fn():
+                return ((w.transpose(1, 0, -1) * Tensor(scale)) ** 2).sum()
+
+            losses, jit = _loop(6, use_jit, loss_fn, [w])
+            results.append((losses, w.data.copy()))
+            if use_jit:
+                assert jit.total_replays == 4
+        assert results[0][0] == results[1][0]
+        np.testing.assert_array_equal(results[0][1], results[1][1])
 
 
 class TestFusion:
@@ -224,6 +250,79 @@ class TestInvalidation:
         losses, jit = _loop(5, True, loss_fn, [w, b], before_epoch=before)
         assert jit.off
         assert "constant" in jit.disabled_reason
+
+    def test_scalar_operand_change_disables(self):
+        w, b, x, y = _problem()
+        box = {"scale": 0.5}
+
+        def before(epoch):
+            box["scale"] = 0.5 if epoch == 0 else 0.25
+
+        def loss_fn():
+            return mse((Tensor(x) @ w + b) * box["scale"], y)
+
+        losses, jit = _loop(5, True, loss_fn, [w, b], before_epoch=before)
+        assert jit.off
+        assert jit.disabled_reason == reason(
+            "scalar-operands-changed", i=2, op="__mul__")
+
+    def test_volatile_provider_change_disables(self):
+        # Each epoch annotates its mask with a fresh provider closure: the
+        # signature keeps capture 1's provider, so the two never match.
+        w, b, x, y = _problem()
+        box = {}
+
+        def before(epoch):
+            rng = np.random.default_rng(epoch)
+
+            def draw():
+                return (rng.random(y.shape) < 0.8).astype(np.float32)
+            box["draw"] = draw
+
+        def loss_fn():
+            mask = Tensor(box["draw"]())
+            mask._trace_src = ("volatile", box["draw"])
+            return mse((Tensor(x) @ w + b) * mask, y)
+
+        losses, jit = _loop(5, True, loss_fn, [w, b], before_epoch=before)
+        assert jit.off
+        assert jit.disabled_reason == reason("const-provider-changed")
+
+    def test_constant_annotation_change_disables(self):
+        w, b, x, y = _problem()
+        box = {"epoch": 0}
+
+        def before(epoch):
+            box["epoch"] = epoch
+
+        def loss_fn():
+            mask = Tensor(np.ones(y.shape, dtype=np.float32))
+            if box["epoch"] == 0:
+                mask._trace_src = ("volatile", lambda: mask.data)
+            return mse((Tensor(x) @ w + b) * mask, y)
+
+        losses, jit = _loop(4, True, loss_fn, [w, b], before_epoch=before)
+        assert jit.off
+        assert jit.disabled_reason == reason("const-annotation-changed")
+
+    def test_param_identity_change_disables(self):
+        # Epoch 2 trains a different (equal-valued) leaf: the signature
+        # holds capture 1's parameter only weakly, and it is gone.
+        w, b, x, y = _problem()
+        box = {"w": w}
+
+        def before(epoch):
+            if epoch == 1:
+                box["w"] = Tensor(w.data.copy(), requires_grad=True)
+
+        def loss_fn():
+            return mse(Tensor(x) @ box["w"] + b, y)
+
+        losses, jit = _loop(4, True, loss_fn, [w, b], tail=lambda: None,
+                            before_epoch=before)
+        assert jit.off
+        assert jit.disabled_reason == reason(
+            "param-identity-changed", i=0, op="__matmul__")
 
     def test_structure_change_disables(self):
         # Epoch 2 computes a different graph (extra op) than epoch 1.
@@ -404,3 +503,95 @@ class TestLoopControl:
 
         losses, jit = _loop(4, True, loss_fn, [w, b])
         assert jit.off
+
+
+class TestArena:
+    """Memory planning: compact capture, dead grads, the liveness pool."""
+
+    @staticmethod
+    def _deep_loss(params, x, y):
+        h = Tensor(x)
+        for w in params:
+            h = (h @ w).tanh()
+        return mse(h, y)
+
+    @staticmethod
+    def _deep_problem(layers=4, width=6):
+        rng = np.random.default_rng(2)
+        params = [Tensor(rng.normal(size=(width, width)).astype(np.float32),
+                         requires_grad=True) for _ in range(layers)]
+        x = rng.normal(size=(10, width)).astype(np.float32)
+        y = rng.normal(size=(10, width)).astype(np.float32)
+        return params, x, y
+
+    def test_first_seal_keeps_no_captured_node(self):
+        params, x, y = self._deep_problem()
+        jit = EpochJIT()
+        with jit.capture():
+            loss = self._deep_loss(params, x, y)
+            loss.backward()
+        refs = [weakref.ref(loss)] + [
+            weakref.ref(t) for t in loss._parents if t._backward is not None]
+        jit.seal(loss)
+        assert all(ref() is not None for ref in refs)
+        loss = None
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_no_record_keeps_a_grad_after_compile(self):
+        params, x, y = self._deep_problem()
+        _, jit = _loop(4, True, lambda: self._deep_loss(params, x, y),
+                       params, tail=lambda: None)
+        assert jit.ready
+        assert jit.plan._records
+        assert all(rec.tensor.grad is None for rec in jit.plan._records)
+
+    def test_pooled_buffers_never_overlap_in_time(self):
+        params, x, y = self._deep_problem(layers=6)
+        _, jit = _loop(4, True, lambda: self._deep_loss(params, x, y),
+                       params)
+        lifetimes = jit.plan.grad_lifetimes
+        assert lifetimes
+        by_slot = {}
+        for node, slot, first, last in lifetimes:
+            assert first <= last
+            by_slot.setdefault(slot, []).append((first, last, node))
+        assert len(by_slot) < len(lifetimes)  # the pool did reuse buffers
+        for spans in by_slot.values():
+            spans.sort()
+            for (_, end, a), (start, _, b) in zip(spans, spans[1:]):
+                assert end < start, f"nodes {a} and {b} share a live buffer"
+
+    def test_arena_bytes_reported(self):
+        params, x, y = self._deep_problem(layers=6)
+        _, jit = _loop(4, True, lambda: self._deep_loss(params, x, y),
+                       params)
+        sizes = jit.plan.arena_bytes
+        assert set(sizes) == {"activations", "gradients",
+                              "gradients_unpooled", "scratch"}
+        assert 0 < sizes["gradients"] < sizes["gradients_unpooled"]
+        assert sizes["activations"] > 0
+
+    def test_release_keeps_the_summary_only(self):
+        w, b, x, y = _problem(seed=3)
+        _, jit = _loop(6, True, lambda: TestFusion._chain_loss(w, b, x, y),
+                       [w, b])
+        chains = jit.plan.fused_chains
+        sizes = jit.plan.arena_bytes
+        assert chains and jit.plan.calls
+        jit.release()
+        assert jit.plan.calls == [] and jit.plan._records == []
+        assert jit.plan.grad_lifetimes == [] and jit.plan.param_grads == []
+        assert jit.plan.fused_chains == chains
+        assert jit.plan.arena_bytes == sizes
+        assert jit.total_replays == 4 and jit.disabled_reason is None
+        assert not jit.off and not jit.ready and not jit.wants_capture
+        assert jit.replay() is False
+
+    def test_release_of_a_disabled_jit_stays_off(self):
+        w, b, x, y = _problem()
+        _, jit = _loop(4, True,
+                       lambda: huber(Tensor(x) @ w + b, y, delta=0.05),
+                       [w, b])
+        reason_before = jit.disabled_reason
+        jit.release()
+        assert jit.off and jit.disabled_reason == reason_before

@@ -7,12 +7,17 @@ fail, not drift) on any model whose per-epoch graph the tracer cannot
 prove stable.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.autodiff import EpochJIT
+from repro.data.containers import EMADataset, Individual
 from repro.data.splits import split_windows
 from repro.models import ModelConfig, create_model
-from repro.training import Trainer, TrainerConfig
+from repro.training import (ExecutionPolicy, ParallelConfig, Trainer,
+                            TrainerConfig, run_cohort)
 from repro.training.callbacks import CallbackSpec
 
 FAST_MODEL = ModelConfig(hidden_size=8, mtgnn_layers=1, mtgnn_embedding_dim=4)
@@ -133,3 +138,90 @@ class TestProfilerCoverage:
         assert [e.loss for e in plain[0].records] == \
             [e.loss for e in profiled[0].records]
         assert plain[1] == profiled[1]
+
+
+def _cohort(lanes=4, num_variables=5, time_points=50):
+    rng = np.random.default_rng(11)
+    return EMADataset([
+        Individual(identifier=f"p{i}",
+                   values=rng.normal(size=(time_points, num_variables)),
+                   variable_names=tuple(f"v{j}"
+                                        for j in range(num_variables)))
+        for i in range(lanes)])
+
+
+def _stacked_fit(model, epochs=6, seq_len=3):
+    return run_cohort(
+        _cohort(), model, seq_len,
+        trainer_config=TrainerConfig(epochs=epochs, jit=True),
+        model_config=FAST_MODEL,
+        parallel=ParallelConfig(execution=ExecutionPolicy(
+            backend="stacked", stack_size=4)))
+
+
+@pytest.fixture
+def jit_spy(monkeypatch):
+    """Weak references to capture 1's root and first node, plus whether
+    they were already dead when each later capture began."""
+    spy = {"jits": [], "refs": [], "dead_at_capture": []}
+    init, seal, capture = EpochJIT.__init__, EpochJIT.seal, EpochJIT.capture
+
+    def spy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        spy["jits"].append(self)
+
+    def spy_seal(self, root, watch=None):
+        if self._state == "capture1" and not spy["refs"]:
+            spy["refs"] = [weakref.ref(root), weakref.ref(self._nodes[0])]
+        return seal(self, root, watch)
+
+    def spy_capture(self):
+        if spy["refs"]:
+            spy["dead_at_capture"].append(
+                [ref() is None for ref in spy["refs"]])
+        return capture(self)
+
+    monkeypatch.setattr(EpochJIT, "__init__", spy_init)
+    monkeypatch.setattr(EpochJIT, "seal", spy_seal)
+    monkeypatch.setattr(EpochJIT, "capture", spy_capture)
+    return spy
+
+
+class TestMemoryLifecycle:
+    """The JIT holds only what replay needs, and nothing after the fit."""
+
+    @pytest.mark.parametrize("model", ["lstm", "a3tgcn"])
+    def test_solo_epoch_one_graph_dies_before_epoch_two(self, jit_spy,
+                                                         model):
+        _, _, trainer = fit_once(model, jit=True)
+        assert trainer.last_jit.total_replays == 6
+        # Capture 2 began with capture 1's root and first node collected.
+        assert jit_spy["dead_at_capture"] == [[True, True]]
+
+    @pytest.mark.parametrize("model", ["lstm", "a3tgcn"])
+    def test_stacked_epoch_one_graph_dies_before_epoch_two(self, jit_spy,
+                                                           model):
+        results = _stacked_fit(model)
+        assert all(r.fallback_reason is None for r in results)
+        assert jit_spy["dead_at_capture"] == [[True, True]]
+
+    def test_finished_fit_releases_its_plan(self):
+        _, _, trainer = fit_once("a3tgcn", jit=True)
+        jit = trainer.last_jit
+        assert jit.total_replays == 6 and jit.disabled_reason is None
+        assert jit.plan.fused_chains  # summary fields stay readable
+        assert jit.plan.calls == [] and jit.plan._records == []
+        assert jit.plan.tail == () and jit.plan.param_grads == []
+
+    def test_stack_releases_its_plan_before_evaluation(self, jit_spy):
+        _stacked_fit("a3tgcn")
+        (jit,) = jit_spy["jits"]
+        assert jit.total_replays == 4
+        assert jit.plan.calls == [] and jit.plan._records == []
+
+    def test_stacked_a3tgcn_gradient_pool_is_a_third_of_per_node(
+            self, jit_spy):
+        _stacked_fit("a3tgcn")
+        (jit,) = jit_spy["jits"]
+        sizes = jit.plan.arena_bytes
+        assert sizes["gradients"] * 3 <= sizes["gradients_unpooled"]
