@@ -6,12 +6,14 @@ re-deriving graph constants (adjacency normalization, Chebyshev bases,
 MTGNN's static row normalization), the temporary-heavy per-parameter Adam
 update, and ASTGCN's per-window-step Python loop over Chebyshev
 convolutions — and, in MTGNN, to copying transposed activations around
-its temporal convolutions.  This benchmark measures each optimized kernel
-against the path it replaced, asserts the replacements are *exact*
-(bit-identical trajectories for the flat-buffer Adam against its
-per-parameter reference loop, bit-identical outputs for the vectorized
-Chebyshev convolution, the channels-last temporal convolution and the
-cached constants), and checks the combined hot path —
+its temporal convolutions and to computing window positions the forecast
+never reads.  This benchmark measures each optimized kernel against the
+path it replaced, asserts the replacements are *exact* (bit-identical
+trajectories for the flat-buffer Adam against its per-parameter
+reference loop, bit-identical outputs for the vectorized Chebyshev
+convolution, the channels-last temporal convolution, the
+receptive-field-pruned MTGNN forward and the cached constants), and
+checks the combined hot path —
 graph-constant construction plus an epoch budget of optimizer steps — is
 at least ``KERNEL_TARGET`` times faster.  It also bounds what the
 profiler costs when disabled.  Writes ``BENCH_kernels.json``.
@@ -26,11 +28,11 @@ import gc
 import json
 import os
 import time
+import tracemalloc
 
 import numpy as np
 
-from repro.autodiff import (Tensor, get_default_dtype, mse, set_default_dtype,
-                            stack)
+from repro.autodiff import Tensor, default_dtype, mse, stack
 from repro.data.windows import make_windows
 from repro.models import create_model
 from repro.nn import ChebConv, DilatedInception
@@ -234,13 +236,9 @@ def _bench_temporal_conv():
     branch) against the plain-numpy NCHW reference.  Outputs, input
     gradients and weight gradients must be bitwise equal.
     """
-    previous = get_default_dtype()
-    set_default_dtype(np.float32)
-    try:
+    with default_dtype(np.float32):
         layer = DilatedInception(32, 32, kernel_sizes=(2, 3),
                                  rng=np.random.default_rng(8))
-    finally:
-        set_default_dtype(previous)
     rng = np.random.default_rng(9)
     x_nchw = rng.standard_normal((100, 32, PAPER_V, L)).astype(np.float32)
     x_last = np.ascontiguousarray(x_nchw.transpose(0, 2, 3, 1))
@@ -280,6 +278,82 @@ def _bench_temporal_conv():
     return {"nchw_seconds": reference_s,
             "channels_last_seconds": channels_last_s,
             "speedup": reference_s / channels_last_s}
+
+
+def _full_window_mtgnn(model, inputs):
+    """MTGNN's forward with every layer computing all ``L`` positions — the
+    path the receptive-field-pruned forward replaced."""
+    samples = inputs.shape[0]
+    propagations = model._learned_propagations()
+    x = inputs.transpose(2, 0, 1).reshape(
+        model.num_variables, samples, model.seq_len, 1)
+    skip = model.skip_start(x)
+    x = model.start_conv(x)
+    for layer in range(model.num_layers):
+        residual = x
+        filt = model.filter_convs[layer](x).tanh()
+        gate = model.gate_convs[layer](x).sigmoid()
+        x = model.dropout((filt * gate).transpose(1, 3, 0, 2)) \
+            .transpose(2, 0, 3, 1)
+        skip = skip + model.skip_convs[layer](x)
+        x = model._graph_mix(x, layer, propagations)
+        x = model.norms[layer](x + residual)
+    skip = skip + model.skip_end(x)
+    final = skip[:, :, -1].transpose(1, 0, 2)
+    hidden = model.head_hidden(final.relu()).relu()
+    return model.head_out(hidden).reshape(samples, model.num_variables)
+
+
+def _peak_bytes(body) -> int:
+    """Peak bytes traced (numpy buffers included) while ``body`` runs."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        body(0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _bench_mtgnn_forward():
+    """MTGNN fwd+bwd, receptive-field-pruned vs the full-window forward.
+
+    The paper's MTGNN shape — V=26, 100 windows, L=5, hidden 32, float32,
+    learned graph, train mode — one forward plus backward per iteration.
+    With the same dropout RNG state the two outputs must be bitwise equal.
+    Reports CPU ms and the peak bytes allocated per iteration.
+    """
+    with default_dtype(np.float32):
+        model = create_model("mtgnn", PAPER_V, L,
+                             adjacency=_adjacency(PAPER_V, seed=10), seed=11)
+    model.train()
+    rng = np.random.default_rng(12)
+    inputs = Tensor(rng.standard_normal((100, L, PAPER_V)).astype(np.float32))
+    targets = rng.standard_normal((100, PAPER_V)).astype(np.float32)
+    state = model.dropout.rng.bit_generator.state
+
+    def step(forward):
+        def body(_):
+            model.zero_grad()
+            out = forward(inputs)
+            mse(out, targets).backward()
+            return out.data
+        return body
+
+    pruned = step(model)
+    full = step(lambda x: _full_window_mtgnn(model, x))
+    outputs = []
+    for body in (pruned, full):
+        model.dropout.rng.bit_generator.state = state
+        outputs.append(body(0))
+    assert np.array_equal(*outputs), \
+        "pruned MTGNN forward must match the full-window forward bitwise"
+    full_s = _min_chunk_seconds(3, _iters(20), full)
+    pruned_s = _min_chunk_seconds(3, _iters(20), pruned)
+    return {"full_window_ms": full_s * 1e3, "pruned_ms": pruned_s * 1e3,
+            "speedup": full_s / pruned_s,
+            "full_window_peak_bytes": _peak_bytes(full),
+            "pruned_peak_bytes": _peak_bytes(pruned)}
 
 
 def _bench_profiler_overhead():
@@ -340,6 +414,7 @@ def test_kernel_speedups():
                         ("fused_adam", _bench_fused_adam),
                         ("vectorized_cheb", _bench_vectorized_cheb),
                         ("temporal_conv", _bench_temporal_conv),
+                        ("mtgnn_forward", _bench_mtgnn_forward),
                         ("profiler", _bench_profiler_overhead)]:
         report[name] = bench()
         line = ", ".join(f"{key}={value:.3g}" if isinstance(value, float)
@@ -365,6 +440,8 @@ def test_kernel_speedups():
         "vectorized ChebConv must not be slower than the per-step loop"
     assert report["temporal_conv"]["speedup"] > 1.0, \
         "channels-last temporal conv must not be slower than the NCHW path"
+    assert report["mtgnn_forward"]["speedup"] > 1.0, \
+        "pruned MTGNN forward must not be slower than the full window"
     assert report["profiler"]["disabled_overhead_pct"] < OVERHEAD_TARGET_PCT
 
     out_path = os.path.join(os.environ.get("REPRO_BENCH_OUT", "."),

@@ -511,9 +511,10 @@ class AbstractTensor:
                              index=len(self._ctx.events) - 1)
         return out
 
-    def unfold_time(self, size: int, dilation: int = 1, left_pad: int = 0):
-        t_out = _tensor_mod.unfold_time_length(self.shape, size, dilation,
-                                               left_pad)
+    def unfold_time(self, size: int, dilation: int = 1, left_pad: int = 0,
+                    keep: slice = slice(None)):
+        t_out = len(_tensor_mod.unfold_time_windows(self.shape, size,
+                                                    dilation, left_pad, keep))
         out_shape = self.shape[:-2] + (t_out, int(self.shape[-1]) * size)
         out = self._emit("unfold_time", out_shape, self.dtype,
                          self.requires_grad)

@@ -4,6 +4,7 @@ Public surface:
 
 * :class:`Tensor` — numpy array with gradient tracking
 * :func:`no_grad` — disable graph construction
+* :func:`default_dtype` — set the default float dtype for one block
 * :func:`concat` / :func:`stack` / :func:`where` — multi-input graph ops
 * :mod:`repro.autodiff.functional` — softmax, losses, adjacency normalizer
 * :func:`check_gradients` — finite-difference verification
@@ -14,9 +15,9 @@ Public surface:
 """
 
 from .anomaly import detect_anomaly, is_anomaly_enabled
-from .tensor import (Tensor, as_tensor, concat, get_default_dtype,
-                     is_grad_enabled, no_grad, set_default_dtype,
-                     set_trace_hook, stack, where)
+from .tensor import (Tensor, as_tensor, concat, default_dtype,
+                     get_default_dtype, is_grad_enabled, no_grad,
+                     set_default_dtype, set_trace_hook, stack, where)
 from .functional import huber, log_softmax, mae, mse, normalize_adjacency, softmax
 from .gradcheck import check_gradients, numerical_gradient
 from .trace import EpochJIT, TraceInvalid
@@ -28,6 +29,7 @@ __all__ = [
     "stack",
     "where",
     "no_grad",
+    "default_dtype",
     "is_grad_enabled",
     "detect_anomaly",
     "is_anomaly_enabled",

@@ -29,7 +29,7 @@ import numpy as np
 from .anomaly import is_anomaly_enabled, user_frame_summary
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor",
-           "set_default_dtype", "get_default_dtype"]
+           "set_default_dtype", "get_default_dtype", "default_dtype"]
 
 _GRAD_ENABLED = True
 _DEFAULT_DTYPE = np.float64
@@ -52,6 +52,22 @@ def set_default_dtype(dtype) -> None:
 def get_default_dtype():
     """Current default float dtype (see :func:`set_default_dtype`)."""
     return _DEFAULT_DTYPE
+
+
+@contextlib.contextmanager
+def default_dtype(dtype):
+    """Context manager setting the default float dtype for its body only.
+
+    The previous default is restored on exit, also when the body raises,
+    so code that builds models in a stored dtype (serving a float64 shard
+    from a float32 process, say) leaves the process default as it was.
+    """
+    previous = _DEFAULT_DTYPE
+    set_default_dtype(dtype)
+    try:
+        yield
+    finally:
+        set_default_dtype(previous)
 
 
 @contextlib.contextmanager
@@ -790,8 +806,8 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def unfold_time(self, size: int, dilation: int = 1,
-                    left_pad: int = 0) -> "Tensor":
+    def unfold_time(self, size: int, dilation: int = 1, left_pad: int = 0,
+                    keep: slice = slice(None)) -> "Tensor":
         """Sliding time windows of a channels-last ``(..., T, C)`` tensor.
 
         The time axis (-2) is first left-padded with ``left_pad`` zeros;
@@ -802,30 +818,39 @@ class Tensor:
         ``k``) — the order of a flattened ``(out, in, k)`` conv weight, so
         a temporal convolution is one GEMM against
         ``weight.reshape(out, in * k).T``.
+
+        ``keep`` (a slice with a positive step) builds only those windows:
+        the result equals ``unfold_time(size, dilation, left_pad)[..., keep,
+        :]``, but the windows it drops are never copied.
         """
-        t_out = unfold_time_length(self.shape, size, dilation, left_pad)
+        windows_kept = unfold_time_windows(self.shape, size, dilation,
+                                           left_pad, keep)
+        t_out, step = len(windows_kept), windows_kept.step
         in_shape = self.shape
         *lead, _, channels = in_shape
-        # Tap k of window t reads source step t + k*dilation - left_pad: its
-        # first ``skip`` windows fall in the zero padding, and a tap whose
-        # every window does is left out.
-        taps = []
+        # Tap k of kept window j reads source step
+        # shift + j*step, shift = start + k*dilation - left_pad: its first
+        # ``skip`` windows fall in the zero padding, and a tap whose every
+        # window does is left out.
+        taps, padded = [], False
         for k in range(size):
-            shift = k * dilation - left_pad
-            skip = max(0, -shift)
+            shift = windows_kept.start + k * dilation - left_pad
+            skip = max(0, -(shift // step))
+            padded = padded or skip > 0
             if skip < t_out:
-                taps.append((k, skip, shift))
-        alloc = np.zeros if left_pad else np.empty
+                taps.append((k, skip, slice(shift + skip * step,
+                                            shift + (t_out - 1) * step + 1,
+                                            step)))
+        alloc = np.zeros if padded else np.empty
         windows = alloc((*lead, t_out, channels, size), dtype=self.data.dtype)
-        for k, skip, shift in taps:
-            windows[..., skip:, :, k] = \
-                self.data[..., skip + shift:t_out + shift, :]
+        for k, skip, source in taps:
+            windows[..., skip:, :, k] = self.data[..., source, :]
 
         def backward(grad: np.ndarray) -> None:
             gwin = grad.reshape(*lead, t_out, channels, size)
             full = np.zeros(in_shape, dtype=grad.dtype)
-            for k, skip, shift in taps:
-                full[..., skip + shift:t_out + shift, :] += gwin[..., skip:, :, k]
+            for k, skip, source in taps:
+                full[..., source, :] += gwin[..., skip:, :, k]
             self._accumulate(full)
 
         return Tensor._make(
@@ -872,13 +897,14 @@ def transpose_axes(axes: tuple, ndim: int) -> tuple[tuple, tuple]:
     return axes, tuple(inverse)
 
 
-def unfold_time_length(shape: tuple, size: int, dilation: int,
-                       left_pad: int) -> int:
-    """Window count ``T_out`` of :meth:`Tensor.unfold_time` on ``shape``.
+def unfold_time_windows(shape: tuple, size: int, dilation: int,
+                        left_pad: int, keep: slice = slice(None)) -> range:
+    """Indices of the windows :meth:`Tensor.unfold_time` builds on ``shape``.
 
     Validates the arguments: ``ValueError`` for ``size < 1``,
     ``dilation < 1``, ``left_pad < 0``, a shape without ``(T, C)``
-    trailing axes, or a window span longer than the padded time axis.
+    trailing axes, a window span longer than the padded time axis, or a
+    ``keep`` slice whose step is not positive.
     """
     if size < 1 or dilation < 1 or left_pad < 0:
         raise ValueError(
@@ -893,7 +919,9 @@ def unfold_time_length(shape: tuple, size: int, dilation: int,
         raise ValueError(
             f"unfold window span {span} exceeds the padded time axis "
             f"({t_in} steps + {left_pad} padding)")
-    return t_in + left_pad - span + 1
+    if keep.step is not None and keep.step < 1:
+        raise ValueError(f"unfold_time keep needs a positive step, got {keep}")
+    return range(*keep.indices(t_in + left_pad - span + 1))
 
 
 # ----------------------------------------------------------------------

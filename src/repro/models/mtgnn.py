@@ -17,10 +17,28 @@ Architecture (per the source paper, at the depth the EMA windows warrant):
 * per-block skip connections into a skip accumulator;
 * output head reading the skip state at the final time position.
 
-Activations run node-major and channels-last, ``(V, S, L, C)``: the
-temporal convolutions window the ``L`` axis of ``(..., L, C)`` views,
+Activations run node-major and channels-last, ``(V, S, T, C)``: the
+temporal convolutions window the ``T`` axis of ``(..., T, C)`` views,
 each graph hop is one 2-D GEMM over ``x.reshape(V, -1)``, and LayerNorm
 acts on the trailing channel axis, so no layer transposes its input.
+
+**Receptive-field pruning.**  The head reads position ``L-1`` only, and
+everything but the temporal convolutions acts on each time position
+alone.  Layer ``l`` (dilation ``2**l``, kernels up to 3) reads its input
+at ``t``, ``t - 2**l`` and ``t - 2**(l+1)``, so :func:`kept_positions`
+works back from ``L-1``: the last layer produces ``L-1`` alone, every
+other layer ``l`` the stride-``2**(l+1)`` grid ending at ``L-1`` as far
+back as the next layer reads, and the start convolution the steps layer
+0 reads.  Every layer runs on its grid alone — the inception branches
+window only the kept positions (taps ``2**l // 2**l = 1`` apart on the
+compacted input grid), the skip convolutions read ``L-1`` — so at the
+paper shape (``L=5``, two layers) the stages compute 5, 3 and 1
+positions instead of 5 each.  Kept values come from the same windows and
+GEMM rows as in a full-window forward, and dropout draws its mask at the
+full ``(S, C, V, L)`` shape, so outputs are bitwise equal to it wherever
+the BLAS rounds a GEMM row independently of the row count (every
+paper-shape training batch; a single window at V=26 may differ in the
+last bit).  Gradients differ in summation order only.
 """
 
 from __future__ import annotations
@@ -29,11 +47,34 @@ import numpy as np
 
 from ..autodiff import Tensor, no_grad
 from ..nn import (DilatedInception, Dropout, GraphLearner, LayerNorm, Linear,
-                  MixHopPropagation, TemporalConv2d)
+                  MixHopPropagation, TemporalConv2d, TimeGrid)
 from ..nn.container import ModuleList
 from .base import Forecaster
 
-__all__ = ["MTGNN"]
+__all__ = ["MTGNN", "kept_positions"]
+
+#: Kernel widths of every dilated-inception layer.
+_KERNEL_SIZES = (2, 3)
+#: The one time position the skip convolutions and the head read.
+_LAST = TimeGrid(keep=slice(-1, None))
+
+
+def kept_positions(seq_len: int, num_layers: int) -> tuple:
+    """``(stride, count)`` of the time positions each stage must produce.
+
+    Entry 0 is the start convolution, entry ``l + 1`` layer ``l``; each
+    names the ``count`` positions ``L-1, L-1-stride, ...``.  The last
+    layer produces ``L-1`` alone.  Layer ``l`` taps its input ``2**l``
+    apart with the widest inception kernel, so its input needs the
+    stride-``2**l`` grid ending at ``L-1``, as far back as its earliest
+    output's window reaches and no further than position 0.
+    """
+    grids = [(2 ** num_layers, 1)]
+    for layer in reversed(range(num_layers)):
+        stride = 2 ** layer
+        count = 2 * (grids[0][1] - 1) + max(_KERNEL_SIZES)
+        grids.insert(0, (stride, min(count, (seq_len - 1) // stride + 1)))
+    return tuple(grids)
 
 
 class MTGNN(Forecaster):
@@ -100,10 +141,10 @@ class MTGNN(Forecaster):
         self.norms = ModuleList()
         for layer in range(num_layers):
             dilation = 2 ** layer
-            self.filter_convs.append(
-                DilatedInception(c, c, kernel_sizes=(2, 3), dilation=dilation, rng=rng))
-            self.gate_convs.append(
-                DilatedInception(c, c, kernel_sizes=(2, 3), dilation=dilation, rng=rng))
+            self.filter_convs.append(DilatedInception(
+                c, c, kernel_sizes=_KERNEL_SIZES, dilation=dilation, rng=rng))
+            self.gate_convs.append(DilatedInception(
+                c, c, kernel_sizes=_KERNEL_SIZES, dilation=dilation, rng=rng))
             self.skip_convs.append(TemporalConv2d(c, c, 1, rng=rng))
             self.graph_convs_fwd.append(
                 MixHopPropagation(c, c, depth=mixhop_depth, rng=rng))
@@ -115,6 +156,21 @@ class MTGNN(Forecaster):
         self.dropout = Dropout(dropout, rng=rng)
         self.head_hidden = Linear(c, c, rng=rng)
         self.head_out = Linear(c, 1, rng=rng)
+
+        grids = kept_positions(seq_len, num_layers)
+        #: Leading window steps the start convolution never needs.
+        self._first_step = seq_len - grids[0][1]
+        #: Per layer: its TimeGrid over the input grid (stride ``2**l``;
+        #: every second position, ending at the last) and its kept
+        #: positions as a slice of the logical ``L`` axis.
+        self._layer_grids = []
+        for layer in range(num_layers):
+            count_in = grids[layer][1]
+            stride, count = grids[layer + 1]
+            self._layer_grids.append((
+                TimeGrid(2 ** layer, slice(count_in - 1 - 2 * (count - 1),
+                                           None, 2)),
+                slice(seq_len - 1 - stride * (count - 1), None, stride)))
 
     # ------------------------------------------------------------------
     # Graph access
@@ -199,11 +255,17 @@ class MTGNN(Forecaster):
         return (self.graph_convs_fwd[layer](x, propagation=prop_fwd)
                 + self.graph_convs_bwd[layer](x, propagation=prop_bwd))
 
-    def _dropout(self, x: Tensor) -> Tensor:
-        """Dropout on node-major ``(V, S, L, C)`` activations whose mask is
-        drawn in the logical ``(S, C, V, L)`` order of torch's layout, so
-        each activation meets the same draw in either layout."""
-        return self.dropout(x.transpose(1, 3, 0, 2)).transpose(2, 0, 3, 1)
+    def _dropout(self, x: Tensor, positions: slice) -> Tensor:
+        """Dropout on node-major ``(V, S, T, C)`` activations holding the
+        logical time ``positions``.
+
+        The mask is drawn at the full logical ``(S, C, V, L)`` shape, in the
+        order of torch's layout, and ``positions`` is gathered from it: each
+        activation meets the same draw as in a full-window, torch-layout
+        forward, and the RNG stream advances by the same amount."""
+        logical = (x.shape[1], x.shape[3], x.shape[0], self.seq_len)
+        return self.dropout(x.transpose(1, 3, 0, 2), draw_shape=logical,
+                            select=(..., positions)).transpose(2, 0, 3, 1)
 
     def forward(self, inputs: Tensor) -> Tensor:
         self._check_input(inputs)
@@ -214,22 +276,24 @@ class MTGNN(Forecaster):
         # reads contiguous time windows, every graph hop is one 2-D GEMM.
         x = inputs.transpose(2, 0, 1).reshape(
             self.num_variables, samples, self.seq_len, 1)
-        skip = self.skip_start(x)
+        skip = self.skip_start(x, _LAST)
+        if self._first_step:
+            x = x[:, :, self._first_step:]
         x = self.start_conv(x)
-        for layer in range(self.num_layers):
-            residual = x
-            filt = self.filter_convs[layer](x).tanh()
-            gate = self.gate_convs[layer](x).sigmoid()
-            x = self._dropout(filt * gate)
-            skip = skip + self.skip_convs[layer](x)
+        for layer, (grid, positions) in enumerate(self._layer_grids):
+            residual = x[:, :, grid.keep]
+            filt = self.filter_convs[layer](x, grid).tanh()
+            gate = self.gate_convs[layer](x, grid).sigmoid()
+            x = self._dropout(filt * gate, positions)
+            skip = skip + self.skip_convs[layer](x, _LAST)
             x = self._graph_mix(x, layer, propagations)
             x = x + residual
             # Per-layer normalization over channels (canonical MTGNN).
             x = self.norms[layer](x)
         # Final skip (canonical skipE): without it the last layer's graph
-        # convolution would never reach the output head.
+        # convolution would never reach the output head.  The last layer
+        # produced position L-1 alone.
         skip = skip + self.skip_end(x)
-        # Read the final time position of the skip accumulator.
         final = skip[:, :, -1].transpose(1, 0, 2)   # (S, V, C)
         hidden = self.head_hidden(final.relu()).relu()
         return self.head_out(hidden).reshape(samples, self.num_variables)

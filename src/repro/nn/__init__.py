@@ -12,7 +12,7 @@ from .dropout import Dropout
 from .normalization import LayerNorm
 from .container import ModuleList, Sequential
 from .recurrent import GRUCell, LSTM, LSTMCell
-from .conv import DilatedInception, TemporalConv2d
+from .conv import DilatedInception, TemporalConv2d, TimeGrid
 from .attention import SpatialAttention, TemporalAttention, TemporalAttentionPool
 from .graph import (ChebConv, GCNConv, GraphLearner, MixHopPropagation,
                     cheb_conv_stacked, gcn_conv_stacked, scaled_laplacian)
@@ -27,7 +27,7 @@ __all__ = [
     "ReLU", "Tanh", "Sigmoid", "LeakyReLU", "ELU",
     "Dropout", "LayerNorm", "Sequential", "ModuleList",
     "GRUCell", "LSTMCell", "LSTM",
-    "TemporalConv2d", "DilatedInception",
+    "TemporalConv2d", "DilatedInception", "TimeGrid",
     "TemporalAttentionPool", "SpatialAttention", "TemporalAttention",
     "GCNConv", "ChebConv", "MixHopPropagation", "GraphLearner",
     "GTSGraphLearner", "series_node_features",

@@ -12,6 +12,8 @@ paper (scaled down to the kernel sizes the EMA paper uses).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..autodiff import Tensor, concat
@@ -19,7 +21,22 @@ from . import init
 from .container import ModuleList
 from .module import Module, Parameter
 
-__all__ = ["TemporalConv2d", "DilatedInception"]
+__all__ = ["TemporalConv2d", "DilatedInception", "TimeGrid"]
+
+
+class TimeGrid(NamedTuple):
+    """The time positions a temporal convolution reads and produces.
+
+    ``stride``: the input holds every ``stride``-th logical step, so a
+    convolution of dilation ``d`` (a multiple of ``stride``) taps
+    ``d // stride`` positions apart on this compacted grid.  ``keep``:
+    which positions of the output, on the same compacted grid, to
+    compute; the others are never built.  The default grid is the whole
+    axis.
+    """
+
+    stride: int = 1
+    keep: slice = slice(None)
 
 
 class TemporalConv2d(Module):
@@ -34,7 +51,9 @@ class TemporalConv2d(Module):
     ``(out, in, k)`` order (height axis squeezed).  ``causal_pad=True``
     left-pads so the output keeps the input's temporal length and never
     peeks at the future; without it, an input shorter than the receptive
-    field is left-padded up to one window.
+    field is left-padded up to one window.  A :class:`TimeGrid` passed to
+    ``forward`` runs the same convolution on a strided subset of the time
+    axis and builds only the output positions it keeps.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -53,23 +72,27 @@ class TemporalConv2d(Module):
             init.xavier_uniform((out_channels, in_channels, kernel_size), rng))
         self.bias = Parameter(init.zeros(out_channels))
 
-    @property
-    def receptive_field(self) -> int:
-        return (self.kernel_size - 1) * self.dilation + 1
-
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, grid: TimeGrid = TimeGrid()) -> Tensor:
         if x.ndim < 2 or x.shape[-1] != self.in_channels:
             raise ValueError(
                 f"TemporalConv2d expects (..., T, {self.in_channels}), "
                 f"got {x.shape}")
+        stride, keep = grid
+        if self.dilation % stride:
+            raise ValueError(
+                f"dilation {self.dilation} is not a multiple of the input "
+                f"grid stride {stride}")
         if self.kernel_size > 1:
-            span = self.receptive_field
+            dilation = self.dilation // stride
+            span = (self.kernel_size - 1) * dilation + 1
             left_pad = (span - 1 if self.causal_pad
                         else max(0, span - x.shape[-2]))
             # Documented fallback: temporal convs disable the JIT
             # (see ema-gnn check).
             x = x.unfold_time(self.kernel_size,  # repro: noqa[REPRO010]
-                              dilation=self.dilation, left_pad=left_pad)
+                              dilation=dilation, left_pad=left_pad, keep=keep)
+        elif keep != slice(None):
+            x = x[..., keep, :]
         # A 1x1 convolution is a pure channel mix: its windows are x itself.
         kernel = self.weight.reshape(
             self.out_channels, self.in_channels * self.kernel_size).T
@@ -101,6 +124,6 @@ class DilatedInception(Module):
                            causal_pad=True, rng=rng)
             for k in kernel_sizes)
 
-    def forward(self, x: Tensor) -> Tensor:
-        outputs = [branch(x) for branch in self.branches]
+    def forward(self, x: Tensor, grid: TimeGrid = TimeGrid()) -> Tensor:
+        outputs = [branch(x, grid) for branch in self.branches]
         return concat(outputs, axis=-1)

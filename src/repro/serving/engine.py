@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..autodiff import get_default_dtype, no_grad, set_default_dtype
+from ..autodiff import default_dtype, no_grad
 from ..autodiff.tensor import Tensor
 from ..nn.sparse import get_sparse_mode
 from ..training.faults import describe_exception
@@ -280,12 +280,8 @@ class InferenceEngine:
         request = ForecastRequest(request_id="sync", identifier=identifier,
                                   model_name=model_name, window=window,
                                   submitted=time.monotonic())
-        previous = get_default_dtype()
-        try:
-            set_default_dtype(shard.dtype)
+        with default_dtype(shard.dtype):
             outcome = self._run_eager(shard, artifact, request)
-        finally:
-            set_default_dtype(previous)
         if isinstance(outcome, RequestFailure):
             raise RuntimeError(str(outcome))
         return outcome.prediction
@@ -318,12 +314,8 @@ class InferenceEngine:
             shard_by_id[id(shard)] = shard
         for shard_id, requests in groups.items():
             shard = shard_by_id[shard_id]
-            previous = get_default_dtype()
-            try:
-                set_default_dtype(shard.dtype)
+            with default_dtype(shard.dtype):
                 results = self._run_group(shard, requests)
-            finally:
-                set_default_dtype(previous)
             for request, outcome in zip(requests, results):
                 outcome._seq = request.seq
                 outcomes.append(outcome)

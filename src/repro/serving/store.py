@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..autodiff import set_default_dtype
+from ..autodiff import default_dtype
 from ..models import ModelConfig, create_model
 from ..models.registry import MODEL_REGISTRY
 
@@ -141,11 +141,11 @@ class CohortShard:
         initialization.
         """
         artifact = self.artifacts[identifier]
-        set_default_dtype(artifact.dtype)
-        model = create_model(artifact.model_name, artifact.num_variables,
-                             artifact.seq_len, adjacency=artifact.adjacency,
-                             config=artifact.model_config, seed=0)
-        model.load_state_dict(artifact.state)
+        with default_dtype(artifact.dtype):
+            model = create_model(artifact.model_name, artifact.num_variables,
+                                 artifact.seq_len, adjacency=artifact.adjacency,
+                                 config=artifact.model_config, seed=0)
+            model.load_state_dict(artifact.state)
         model.eval()
         return model
 
@@ -208,10 +208,10 @@ def _template_spec(artifact: CohortArtifact) -> "dict[str, tuple]":
     if spec is not None:
         _TEMPLATE_SPECS.move_to_end(key)
         return spec
-    set_default_dtype(artifact.dtype)
-    template = create_model(artifact.model_name, artifact.num_variables,
-                            artifact.seq_len, adjacency=artifact.adjacency,
-                            config=artifact.model_config, seed=0)
+    with default_dtype(artifact.dtype):
+        template = create_model(artifact.model_name, artifact.num_variables,
+                                artifact.seq_len, adjacency=artifact.adjacency,
+                                config=artifact.model_config, seed=0)
     spec = {name: (value.shape, value.dtype.str)
             for name, value in template.state_dict().items()}
     _TEMPLATE_SPECS[key] = spec
@@ -364,7 +364,12 @@ class ModelStore:
         self.versions_dir.mkdir(parents=True, exist_ok=True)
         path = self.versions_dir / f"{version}.json"
         tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        # Durable before it becomes visible: a crash can leave the old
+        # manifest or the new one, never an empty file under the name.
+        with open(tmp, "w") as handle:
+            handle.write(json.dumps(manifest, indent=2, sort_keys=True))
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
         return version
 

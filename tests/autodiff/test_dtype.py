@@ -70,3 +70,25 @@ class TestDefaultDtype:
         x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
         (x * x).sum().backward()
         assert x.grad.dtype == np.float32
+
+
+class TestDefaultDtypeContext:
+    def test_sets_the_dtype_for_the_block_only(self):
+        from repro.nn import Linear
+
+        with ad.default_dtype("float32"):
+            assert ad.get_default_dtype() == np.float32
+            assert Linear(3, 2).weight.dtype == np.float32
+        assert ad.get_default_dtype() == np.float64
+
+    def test_restores_on_error(self):
+        with pytest.raises(RuntimeError):
+            with ad.default_dtype(np.float32):
+                raise RuntimeError("boom")
+        assert ad.get_default_dtype() == np.float64
+
+    def test_rejects_non_float_without_changing_the_default(self):
+        with pytest.raises(ValueError):
+            with ad.default_dtype(np.int32):
+                pass  # pragma: no cover - never entered
+        assert ad.get_default_dtype() == np.float64

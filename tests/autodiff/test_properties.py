@@ -119,6 +119,29 @@ class TestStructuralIdentities:
         np.testing.assert_array_equal(
             t.grad, np.broadcast_to(counts[left:, None], x.shape))
 
+    @settings(max_examples=50, deadline=None)
+    @given(hnp.arrays(np.float64, (2, 7, 3), elements=floats),
+           st.integers(1, 3), st.integers(1, 3), st.integers(0, 4),
+           st.integers(-9, 9), st.integers(1, 4))
+    def test_unfold_time_keep_equals_slicing_the_windows(
+            self, x, size, dilation, left, start, step):
+        # keep builds only some windows; values and the adjoint must equal
+        # building them all and slicing.
+        if (size - 1) * dilation + 1 > 7 + left:
+            return
+        keep = slice(start, None, step)
+        weights = np.random.default_rng(0).standard_normal(x.shape[:1] + (
+            len(range(7 + left - (size - 1) * dilation)[keep]), 3 * size))
+        kept_in, full_in = (Tensor(x, requires_grad=True) for _ in range(2))
+        kept = kept_in.unfold_time(size, dilation=dilation, left_pad=left,
+                                   keep=keep)
+        full = full_in.unfold_time(size, dilation=dilation,
+                                   left_pad=left)[:, keep]
+        np.testing.assert_array_equal(kept.data, full.data)
+        (kept * Tensor(weights)).sum().backward()
+        (full * Tensor(weights)).sum().backward()
+        np.testing.assert_array_equal(kept_in.grad, full_in.grad)
+
     @settings(max_examples=25, deadline=None)
     @given(hnp.arrays(np.float64, (3, 4), elements=floats))
     def test_transpose_involution(self, x):

@@ -232,6 +232,16 @@ class TestUnfoldTime:
         with pytest.raises(ValueError, match="left_pad >= 0"):
             Tensor(np.ones((2, 4, 1))).unfold_time(2, left_pad=-1)
 
+    def test_rejects_non_positive_keep_step(self):
+        with pytest.raises(ValueError, match="positive step"):
+            Tensor(np.ones((2, 4, 1))).unfold_time(2, keep=slice(None, None, -1))
+
+    def test_keep_selects_windows_without_padding_reads(self):
+        # Causal windows kept only at the end never read the padding.
+        x = np.arange(6, dtype=float).reshape(1, 6, 1)
+        out = Tensor(x).unfold_time(3, left_pad=2, keep=slice(3, None, 2)).data
+        assert out.tolist() == [[[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]]
+
     def test_rejects_span_longer_than_padded_axis(self):
         with pytest.raises(ValueError, match="exceeds the padded time axis"):
             Tensor(np.ones((2, 4, 1))).unfold_time(3, dilation=2, left_pad=0)

@@ -202,18 +202,26 @@ class TestMTGNN:
         assert calls == [(V, V), (V, V)]  # A and A^T, shared by all layers
 
     def test_dropout_mask_is_drawn_in_torch_layout_order(self):
-        # Node-major (V, S, L, C) activations meet the mask a (S, C, V, L)
-        # layout would draw: the same generator state gives the same draw
-        # to the same activation in either layout.
+        # Node-major (V, S, T, C) activations holding some of the L logical
+        # time positions meet, at those positions, the mask a full
+        # (S, C, V, L) layout would draw: the same generator state gives
+        # the same draw to the same activation in either layout, and the
+        # stream advances by the whole draw.
         model = MTGNN(V, L, initial_adjacency=adjacency(9), dropout=0.5,
                       rng=np.random.default_rng(0))
         model.train()
-        x = np.random.default_rng(1).standard_normal((V, 4, L, 6))
-        state = model.dropout.rng.bit_generator.state
-        out = model._dropout(Tensor(x)).data
-        model.dropout.rng.bit_generator.state = state
-        mask = model.dropout._draw_mask((4, 6, V, L), x.dtype)
-        np.testing.assert_array_equal(out, x * mask.transpose(2, 0, 3, 1))
+        for positions in (slice(None), slice(0, None, 2), slice(1, None, 2),
+                          slice(-1, None)):
+            kept = len(range(L)[positions])
+            x = np.random.default_rng(1).standard_normal((V, 4, kept, 6))
+            state = model.dropout.rng.bit_generator.state
+            out = model._dropout(Tensor(x), positions).data
+            after = model.dropout.rng.bit_generator.state
+            model.dropout.rng.bit_generator.state = state
+            mask = model.dropout._draw_mask((4, 6, V, L), x.dtype)
+            assert model.dropout.rng.bit_generator.state == after
+            np.testing.assert_array_equal(
+                out, x * mask[..., positions].transpose(2, 0, 3, 1))
 
 
 class TestRegistry:

@@ -187,6 +187,18 @@ def _dilated_inception():
     return lambda *ts: module(ts[0]).sum(), [x, *_params(module)]
 
 
+@case("TimeGrid")
+def _dilated_inception_on_a_grid():
+    # Dilation 2 on an input sampled every 2 steps: taps 1 apart on the
+    # compacted grid, every second output kept, ending at the last.
+    rng = _rng()
+    module = nn.DilatedInception(2, 4, kernel_sizes=(2, 3), dilation=2,
+                                 rng=rng)
+    grid = nn.TimeGrid(stride=2, keep=slice(1, None, 2))
+    x = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=True)
+    return lambda *ts: (module(ts[0], grid) ** 2).sum(), [x, *_params(module)]
+
+
 @case("TemporalAttentionPool")
 def _attention_pool():
     rng = _rng()

@@ -12,7 +12,7 @@ from repro.models import create_model
 from repro.models.registry import MODEL_REGISTRY
 from repro.serving import (CohortArtifact, ModelStore, StoreIntegrityError,
                            StoreVersionError, build_shards)
-from repro.serving.store import _digest_arrays
+from repro.serving.store import _TEMPLATE_SPECS, _digest_arrays
 
 V, L = 5, 3
 
@@ -273,3 +273,44 @@ class TestShards:
             store.load_shard(version)
         with pytest.raises(StoreVersionError, match="no shard matches"):
             store.load_shard(version, model_name="astgcn")
+
+
+class TestProcessState:
+    def test_materialize_leaves_the_default_dtype_alone(self, tmp_path):
+        # Serving a float64 shard must not change what a later fit in the
+        # same float32 process builds.
+        artifact, _ = make_artifact("mtgnn", "float64")
+        store = ModelStore(tmp_path)
+        version = store.save_cohort([artifact])
+        ad.set_default_dtype("float32")
+        _TEMPLATE_SPECS.clear()  # the template build must run as well
+        shard = store.load_shard(version)
+        model = shard.materialize("p0")
+        assert ad.get_default_dtype() == np.float32
+        assert {p.dtype for p in model.parameters()} == {np.dtype("float64")}
+        fresh = create_model("lstm", V, L, seed=0)
+        assert {p.dtype for p in fresh.parameters()} == {np.dtype("float32")}
+
+    def test_manifest_is_fsynced_before_it_is_published(self, tmp_path,
+                                                        monkeypatch):
+        import os
+
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        artifact, _ = make_artifact("lstm")
+        version = ModelStore(tmp_path).save_cohort([artifact])
+        manifest = tmp_path / "versions" / f"{version}.json"
+        inode = manifest.stat().st_ino
+        assert calls[-2:] == [("fsync", inode), ("replace", inode)]
+        assert json.loads(manifest.read_text())["version"] == version
