@@ -51,12 +51,7 @@ class A3TGCN(Forecaster):
     def forward(self, inputs: Tensor) -> Tensor:
         self._check_input(inputs)
         samples = inputs.shape[0]
-        hidden = self.cell.initial_state(samples, self.num_variables)
-        states = []
-        for t in range(self.seq_len):
-            step = inputs[:, t, :].reshape(samples, self.num_variables, 1)
-            hidden = self.cell(step, hidden)
-            states.append(hidden)
+        states = self.cell(inputs)
         if len(states) == 1:
             context = states[0]
         else:

@@ -51,15 +51,21 @@ class Forecaster(Module):
                 f"{type(self).__name__} must implement set_adjacency")
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        """Numpy-in / numpy-out inference in eval mode without autodiff."""
+        """Numpy-in / numpy-out inference in eval mode without autodiff.
+
+        Windows are cast to the model's parameter dtype (the process
+        default dtype for a model without parameters), so a model
+        forecasts in the dtype it was built in whatever the default is.
+        """
         from ..autodiff.tensor import get_default_dtype
 
+        param = next(self.parameters(), None)
+        dtype = get_default_dtype() if param is None else param.dtype
         was_training = self.training
         self.eval()
         try:
             with no_grad():
-                out = self.forward(
-                    Tensor(np.asarray(inputs, dtype=get_default_dtype())))
+                out = self.forward(Tensor(np.asarray(inputs, dtype=dtype)))
         finally:
             self.train(was_training)
         return out.data

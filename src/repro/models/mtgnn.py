@@ -212,29 +212,26 @@ class MTGNN(Forecaster):
         :func:`repro.nn.graphcache.cached_row_normalized` — the same
         arithmetic :meth:`MixHopPropagation._row_normalize` ran inside the
         autodiff graph on every forward pass — and reused across epochs.
-        When the density autoswitch routes the graph sparse, the pair is
+        The operators are normalized in float64 and cast to the model's
+        parameter dtype, so a float32 model forecasts in float32.  When
+        the density autoswitch routes the graph sparse, the pair is
         returned as :class:`~repro.nn.sparse.CSRMatrix` factorizations of
-        those same cached operators instead (the graph operators are
-        float64 constants, so the decision uses their own dtype).
+        those same operators instead.
         """
         if self._static_props is None:
-            from ..nn.graphcache import (cached_row_normalized,
-                                         cached_sparse_row_normalized)
-            from ..nn.sparse import should_use_sparse
+            from ..nn.graphcache import cached_row_normalized
+            from ..nn.sparse import CSRMatrix, should_use_sparse
 
+            dtype = self.head_out.weight.dtype
             base = self._static_adjacency
-            fwd = cached_row_normalized(base)
-            density = np.count_nonzero(fwd) / fwd.size
-            if should_use_sparse(fwd.shape[0], density, fwd.dtype):
-                self._static_props = (
-                    cached_sparse_row_normalized(base),
-                    cached_sparse_row_normalized(base.T),
-                )
+            pair = tuple(cached_row_normalized(graph).astype(dtype, copy=False)
+                         for graph in (base, base.T))
+            density = np.count_nonzero(pair[0]) / pair[0].size
+            if should_use_sparse(pair[0].shape[0], density, dtype):
+                self._static_props = tuple(CSRMatrix.from_dense(op)
+                                           for op in pair)
             else:
-                self._static_props = (
-                    Tensor(fwd),
-                    Tensor(cached_row_normalized(base.T)),
-                )
+                self._static_props = tuple(Tensor(op) for op in pair)
         return self._static_props
 
     # ------------------------------------------------------------------

@@ -1,9 +1,15 @@
 """T-GCN cell: the graph-convolutional GRU underlying A3TGCN.
 
 Following Bai et al. (A3T-GCN) and the original T-GCN: at each step the
-input signal and previous per-node hidden state are concatenated and passed
-through graph convolutions to form GRU gates, so information mixes along
-the variable graph while the recurrence tracks time.
+input signal passes through graph convolutions and, together with the
+previous per-node hidden state, forms GRU gates, so information mixes
+along the variable graph while the recurrence tracks time.
+
+The graph convolutions read only the input signal, so they, and the
+input halves of the gate affines, run once per distinct time row rather
+than once per (window, step): :func:`time_rows` lays a window batch out
+as rows, :meth:`TGCNCell.input_stage` maps every row at once, and
+:meth:`TGCNCell.step` adds the hidden-state halves step by step.
 """
 
 from __future__ import annotations
@@ -15,7 +21,60 @@ from ..nn import GCNConv
 from ..nn.module import Module
 from .base import Forecaster
 
-__all__ = ["TGCNCell", "TGCNForecaster"]
+__all__ = ["TGCNCell", "TGCNForecaster", "time_rows", "windows_slide"]
+
+
+def windows_slide(windows: np.ndarray) -> bool:
+    """Whether every ``(S, L, V)`` batch in ``windows`` slides by one step.
+
+    ``windows`` is ``(..., S, L, V)``.  A batch slides when each window
+    equals its predecessor shifted by one step, compared bit for bit (so
+    ``-0.0`` differs from ``0.0`` and a NaN equals only its own bit
+    pattern).  Returns ``True`` when every batch slides and ``False``
+    when none does; batches that disagree raise ``ValueError``, because
+    one row layout serves them all.  One-window and one-step batches
+    slide trivially.
+    """
+    bits = windows.view(f"u{windows.dtype.itemsize}")
+    slides = (bits[..., 1:, :-1, :] == bits[..., :-1, 1:, :]).all(
+        axis=(-3, -2, -1))
+    if slides.all():
+        return True
+    if slides.any():
+        raise ValueError(
+            f"{int(slides.sum())} of {slides.size} window batches slide "
+            "and the rest do not; they need different time-row layouts")
+    return False
+
+
+def time_rows(windows: Tensor) -> tuple[Tensor, int]:
+    """The input rows a T-GCN reads from a ``(..., S, L, V)`` window batch.
+
+    Returns ``(rows, stride)`` with rows ``(..., N, V, 1)``: step ``t`` of
+    the ``S`` windows is ``rows[..., t * stride : t * stride + S, :, :]``.
+
+    * Sliding batches (:func:`windows_slide`) hold only ``S + L - 1``
+      distinct time points: the rows are those points in time order and
+      the stride is 1.  Bitwise-equal rows give bitwise-equal outputs, so
+      sharing them changes no value.
+    * Otherwise the rows are all ``L * S`` window steps, step-major, and
+      the stride is ``S``.  For ``S = 1`` the two layouts coincide.
+
+    A window batch that requires grad always takes the step-major layout:
+    each window element then gets its own gradient, where a shared row
+    would hand a time point's whole gradient to one of its copies.
+    Both layouts are built by the same ops, which differ only in one
+    slice bound.
+    """
+    *lead, samples, _, nodes = windows.shape
+    shared = not windows.requires_grad and windows_slide(windows.data)
+    first = samples - 1 if shared else 0
+    # Step 0 of every window, then steps 1.. of windows first.. step-major.
+    head = windows[..., 0, :]
+    tail = windows[..., first:, 1:, :].swapaxes(-3, -2).reshape(
+        *lead, -1, nodes)
+    rows = concat([head, tail], axis=-2)
+    return rows.reshape(*rows.shape, 1), 1 if shared else samples
 
 
 class TGCNCell(Module):
@@ -28,8 +87,12 @@ class TGCNCell(Module):
     node's own (scalar) signal — the architectural property behind A3TGCN's
     LSTM-level EMA performance in the paper.
 
-    Input ``x``: ``(samples, nodes, in_features)``; hidden ``h``:
-    ``(samples, nodes, hidden)``.
+    The ``gates`` and ``candidate`` affines act on ``[GC(x), h]``; their
+    weights are split by columns into an input half ``W[:, :H]``, applied
+    by :meth:`input_stage` together with the bias, and a hidden half
+    ``W[:, H:]``, applied by :meth:`step`.  Calling the cell on a
+    ``(S, L, V)`` window batch unrolls it and returns the ``L`` hidden
+    states ``(S, V, H)``.
     """
 
     def __init__(self, in_features: int, hidden_size: int, adjacency: np.ndarray,
@@ -52,23 +115,46 @@ class TGCNCell(Module):
         self.graph_conv1.set_adjacency(adjacency)
         self.graph_conv2.set_adjacency(adjacency)
 
-    def forward(self, x: Tensor, h: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_features:
+    def input_stage(self, rows: Tensor) -> tuple[Tensor, Tensor]:
+        """Input halves ``(u_gates, u_cand)`` for rows ``(..., V, F)``.
+
+        ``u = GC(x) @ W[:, :H].T + b`` for the gates and the candidate:
+        everything in a step that does not read the hidden state.
+        """
+        if rows.shape[-1] != self.in_features:
             raise ValueError(f"TGCNCell expected input feature size "
-                             f"{self.in_features}, got {x.shape[-1]}")
-        gc = self.graph_conv2(self.graph_conv1(x).relu())
-        combined = concat([gc, h], axis=-1)
-        gates = self.gates(combined).sigmoid()
-        update = gates[..., : self.hidden_size]
-        reset = gates[..., self.hidden_size:]
-        candidate = self.candidate(concat([gc, reset * h], axis=-1)).tanh()
-        return update * h + (1.0 - update) * candidate
+                             f"{self.in_features}, got {rows.shape[-1]}")
+        gc = self.graph_conv2(self.graph_conv1(rows).relu())
+        h = self.hidden_size
+        return (gc @ self.gates.weight[:, :h].T + self.gates.bias,
+                gc @ self.candidate.weight[:, :h].T + self.candidate.bias)
+
+    def step(self, u_gates: Tensor, u_cand: Tensor, hidden: Tensor) -> Tensor:
+        """One GRU step from the input halves of this step and ``hidden``."""
+        h = self.hidden_size
+        gates = (u_gates + hidden @ self.gates.weight[:, h:].T).sigmoid()
+        update = gates[..., :h]
+        reset = gates[..., h:]
+        candidate = (u_cand + (reset * hidden)
+                     @ self.candidate.weight[:, h:].T).tanh()
+        return update * hidden + (1.0 - update) * candidate
+
+    def forward(self, windows: Tensor) -> list[Tensor]:
+        """Unroll over a ``(S, L, V)`` window batch; one state per step."""
+        samples, seq_len, nodes = windows.shape
+        rows, stride = time_rows(windows)
+        u_gates, u_cand = self.input_stage(rows)
+        hidden = self.initial_state(samples, nodes)
+        states = []
+        for t in range(seq_len):
+            span = slice(t * stride, t * stride + samples)
+            hidden = self.step(u_gates[span], u_cand[span], hidden)
+            states.append(hidden)
+        return states
 
     def initial_state(self, samples: int, nodes: int) -> Tensor:
-        from ..autodiff.tensor import get_default_dtype
-
         return Tensor(np.zeros((samples, nodes, self.hidden_size),
-                               dtype=get_default_dtype()))
+                               dtype=self.gates.weight.dtype))
 
 
 class TGCNForecaster(Forecaster):
@@ -100,10 +186,6 @@ class TGCNForecaster(Forecaster):
 
     def forward(self, inputs: Tensor) -> Tensor:
         self._check_input(inputs)
-        samples = inputs.shape[0]
-        hidden = self.cell.initial_state(samples, self.num_variables)
-        for t in range(self.seq_len):
-            step = inputs[:, t, :].reshape(samples, self.num_variables, 1)
-            hidden = self.cell(step, hidden)
+        hidden = self.cell(inputs)[-1]
         out = self.head(self.dropout(hidden))
-        return out.reshape(samples, self.num_variables)
+        return out.reshape(inputs.shape[0], self.num_variables)

@@ -28,8 +28,7 @@ from ..autodiff import get_default_dtype, normalize_adjacency
 __all__ = ["cached_normalized_adjacency", "cached_chebyshev_basis",
            "cached_row_normalized", "cached_stacked_adjacency",
            "cached_stacked_chebyshev", "cached_sparse_normalized",
-           "cached_sparse_chebyshev", "cached_sparse_row_normalized",
-           "clear_graph_caches", "cache_info"]
+           "cached_sparse_chebyshev", "clear_graph_caches", "cache_info"]
 
 #: Per-cache entry cap.  Entries are ~V×V floats (V = 26 in the paper), so
 #: even the Chebyshev cache stays far below a megabyte; the cap only guards
@@ -43,7 +42,6 @@ _STACKED_NORMALIZED: OrderedDict = OrderedDict()
 _STACKED_CHEB: OrderedDict = OrderedDict()
 _SPARSE_NORMALIZED: OrderedDict = OrderedDict()
 _SPARSE_CHEB: OrderedDict = OrderedDict()
-_SPARSE_ROW_NORMALIZED: OrderedDict = OrderedDict()
 _COUNTS = {"hits": 0, "misses": 0}
 
 
@@ -226,24 +224,6 @@ def cached_sparse_chebyshev(adjacency: np.ndarray, order: int) -> tuple:
     return _lookup(_SPARSE_CHEB, key, build)
 
 
-def cached_sparse_row_normalized(adjacency: np.ndarray):
-    """Memoized CSR factorization of :func:`cached_row_normalized`.
-
-    Row normalization adds self-loops and divides by row sums, so zeros
-    stay zero: structural density matches ``adjacency`` plus diagonal.
-    Used by MTGNN's static propagations and sparse MixHop.
-    """
-    from .sparse import CSRMatrix
-
-    a = np.asarray(adjacency)
-    key = (_fingerprint(a),)
-
-    def build():
-        return CSRMatrix.from_dense(cached_row_normalized(a))
-
-    return _lookup(_SPARSE_ROW_NORMALIZED, key, build)
-
-
 def clear_graph_caches() -> None:
     """Drop every cached graph constant (tests; dtype-churn workloads)."""
     _NORMALIZED.clear()
@@ -253,7 +233,6 @@ def clear_graph_caches() -> None:
     _STACKED_CHEB.clear()
     _SPARSE_NORMALIZED.clear()
     _SPARSE_CHEB.clear()
-    _SPARSE_ROW_NORMALIZED.clear()
     _COUNTS["hits"] = 0
     _COUNTS["misses"] = 0
 
@@ -266,5 +245,4 @@ def cache_info() -> dict:
             "stacked": len(_STACKED_NORMALIZED),
             "stacked_chebyshev": len(_STACKED_CHEB),
             "sparse_normalized": len(_SPARSE_NORMALIZED),
-            "sparse_chebyshev": len(_SPARSE_CHEB),
-            "sparse_row_normalized": len(_SPARSE_ROW_NORMALIZED)}
+            "sparse_chebyshev": len(_SPARSE_CHEB)}

@@ -25,9 +25,13 @@ Bit-exactness contract (asserted end-to-end in ``tests/training``):
   once a parameter is used three or more times (IEEE addition is
   commutative but not associative).
 * :func:`lane_affine` creates a **fresh** ``swapaxes`` node per call,
-  exactly as ``Linear.forward`` creates a fresh ``.T`` node per call —
-  hoisting one transposed weight out of the step loop would flip the
-  order in which the weight's per-step gradient contributions accumulate.
+  exactly as the solo code creates a fresh ``.T`` node per use of a
+  weight — sharing one transposed weight across the step loop would flip
+  the order in which the weight's per-step gradient contributions
+  accumulate.  What is shared is the work that does not depend on the
+  step: the T-GCN input stage (graph convolutions and the input halves
+  of the gate affines, on column slices of the stacked weights) runs
+  once over the distinct time rows, as in the solo cell.
 * :func:`lane_propagate` mirrors the graph-propagation matmul branch
   (``(V, V) @ (..., V, C)``) per lane over a constant ``(K, V, V)``
   operator stack.
@@ -40,8 +44,8 @@ slice — the *same* GEMM, on slices with the same values and strides, that
 a per-lane loop would issue — and its bias reduction as one middle-axis
 ``sum``.  That equivalence is a property of the host numpy/BLAS build,
 not of IEEE arithmetic, so it is **probed at import time** over every
-operand pattern these ops use (contiguous, transposed-view, float32 and
-float64) against explicit per-lane loops.  The verdict,
+operand pattern these ops use (contiguous, transposed-view, column-slice,
+float32 and float64) against explicit per-lane loops.  The verdict,
 :data:`BATCHED_LANES`, gates eligibility rather than selecting a code
 path: on a host that fails it, :func:`repro.training.stacked.lane_reason`
 blocks every stack and the serving engine serves eagerly, so all work
@@ -61,9 +65,10 @@ __all__ = ["BATCHED_LANES", "lane_matmul", "lane_bias_add", "lane_affine",
 def _probe_batched_exactness() -> bool:
     """True iff batched matmul/sum replay the per-lane loops bitwise.
 
-    Covers the four operand patterns the lane ops issue: plain stacked
-    GEMM, transposed-view second operand (``weight.swapaxes``), transposed
-    first operand (the grad-weight GEMM), and the bias middle-axis
+    Covers the operand patterns the lane ops issue: plain stacked GEMM,
+    transposed-view second operand (``weight.swapaxes``), transposed
+    first operand (the grad-weight GEMM), column slices of a weight
+    (the T-GCN halves, plain and transposed), and the bias middle-axis
     reduction — in both default dtypes, with non-round shapes so BLAS
     blocking kicks in where it would for real workloads.
     """
@@ -84,7 +89,18 @@ def _probe_batched_exactness() -> bool:
                                   np.stack([a[k] @ w[k].T
                                             for k in range(lanes)])):
                 return False
+            # The right column half of a wider weight: a strided view
+            # whose rows start off the allocation's alignment.
+            half = rng.normal(size=(lanes, p, 2 * n)).astype(dtype)[..., n:]
+            if not np.array_equal(np.matmul(a, half.swapaxes(-1, -2)),
+                                  np.stack([a[k] @ half[k].T
+                                            for k in range(lanes)])):
+                return False
             g = rng.normal(size=(lanes, m, p)).astype(dtype)
+            if not np.array_equal(np.matmul(g, half),
+                                  np.stack([g[k] @ half[k]
+                                            for k in range(lanes)])):
+                return False
             if not np.array_equal(np.matmul(a.swapaxes(-1, -2), g),
                                   np.stack([a[k].T @ g[k]
                                             for k in range(lanes)])):
@@ -165,11 +181,12 @@ def lane_bias_add(x: Tensor, bias: Tensor) -> Tensor:
 def lane_affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Per-lane ``Linear``: ``out[k] = x[k] @ weight[k].T + bias[k]``.
 
-    ``weight`` is the stacked ``(K, F_out, F_in)`` parameter.  A fresh
-    ``swapaxes(-1, -2)`` node is created per call — never hoisted — so a
-    weight used several times per epoch (recurrent cells) accumulates its
-    per-use gradient contributions through per-use transpose nodes in the
-    same order the solo ``Linear``'s per-use ``.T`` nodes impose.
+    ``weight`` is the stacked ``(K, F_out, F_in)`` parameter, or a view
+    of one (the T-GCN cell's column halves).  A fresh
+    ``swapaxes(-1, -2)`` node is created per call, so a weight used
+    several times per epoch (recurrent cells) accumulates its per-use
+    gradient contributions through per-use transpose nodes in the same
+    order the solo code's per-use ``.T`` nodes impose.
     """
     out = lane_matmul(x, weight.swapaxes(-1, -2))
     if bias is not None:

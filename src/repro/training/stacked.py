@@ -74,6 +74,7 @@ from ..autodiff import (Tensor, concat, get_default_dtype, no_grad,
                         set_default_dtype, softmax, stack, where)
 from ..data.splits import split_windows
 from ..models import MODEL_REGISTRY, create_model
+from ..models.tgcn import time_rows
 from ..nn import gcn_conv_stacked, lane_affine, stacked_ops
 from ..nn.graph import gcn_routes_sparse
 from ..nn.graphcache import cached_stacked_adjacency
@@ -252,34 +253,39 @@ def _forward_a3tgcn(params: "OrderedDict[str, Parameter]", inputs: np.ndarray,
     """Stacked A3TGCN / T-GCN forward: ``(K, S, L, V) -> (K, S, V)``.
 
     Lane ``k`` replays :meth:`repro.models.a3tgcn.A3TGCN.forward` (and the
-    T-GCN cell inside it) node for node; the graph-convolution stages use
-    the ``(K, V, V)`` propagation stack.  Without an ``attention``
-    parameter this is :meth:`repro.models.tgcn.TGCNForecaster.forward`:
-    the final hidden state is the context.
+    T-GCN cell inside it) node for node: the input stage over the lane's
+    :func:`~repro.models.tgcn.time_rows`, with the ``(K, V, V)``
+    propagation stack, then the per-step hidden halves.  Every lane takes
+    the row layout its solo forward would; lanes that would take
+    different layouts raise, and the stack runs solo instead.  Without
+    an ``attention`` parameter this is
+    :meth:`repro.models.tgcn.TGCNForecaster.forward`: the final hidden
+    state is the context.
     """
     lanes, samples, seq_len, nodes = inputs.shape
-    w1 = params["cell.graph_conv1.linear.weight"]
-    b1 = params["cell.graph_conv1.linear.bias"]
-    w2 = params["cell.graph_conv2.linear.weight"]
-    b2 = params["cell.graph_conv2.linear.bias"]
+    h = hidden_size
     gates_w = params["cell.gates.weight"]
-    gates_b = params["cell.gates.bias"]
     cand_w = params["cell.candidate.weight"]
-    cand_b = params["cell.candidate.bias"]
-    hidden = Tensor(np.zeros((lanes, samples, nodes, hidden_size),
-                             dtype=inputs.dtype))
+    rows, stride = time_rows(Tensor(inputs))
+    gc = gcn_conv_stacked(
+        propagation,
+        gcn_conv_stacked(propagation, rows,
+                         params["cell.graph_conv1.linear.weight"],
+                         params["cell.graph_conv1.linear.bias"]).relu(),
+        params["cell.graph_conv2.linear.weight"],
+        params["cell.graph_conv2.linear.bias"])
+    u_gates = lane_affine(gc, gates_w[:, :, :h], params["cell.gates.bias"])
+    u_cand = lane_affine(gc, cand_w[:, :, :h], params["cell.candidate.bias"])
+    hidden = Tensor(np.zeros((lanes, samples, nodes, h), dtype=inputs.dtype))
     states = []
     for t in range(seq_len):
-        step = Tensor(inputs[:, :, t, :].reshape(lanes, samples, nodes, 1))
-        gc = gcn_conv_stacked(
-            propagation,
-            gcn_conv_stacked(propagation, step, w1, b1).relu(), w2, b2)
-        combined = concat([gc, hidden], axis=-1)
-        gates = lane_affine(combined, gates_w, gates_b).sigmoid()
-        update = gates[..., :hidden_size]
-        reset = gates[..., hidden_size:]
-        candidate = lane_affine(concat([gc, reset * hidden], axis=-1),
-                                cand_w, cand_b).tanh()
+        span = slice(t * stride, t * stride + samples)
+        gates = (u_gates[:, span]
+                 + lane_affine(hidden, gates_w[:, :, h:])).sigmoid()
+        update = gates[..., :h]
+        reset = gates[..., h:]
+        candidate = (u_cand[:, span]
+                     + lane_affine(reset * hidden, cand_w[:, :, h:])).tanh()
         hidden = update * hidden + (1.0 - update) * candidate
         states.append(hidden)
     context = hidden

@@ -144,6 +144,27 @@ class TestMTGNN:
                       use_graph_learning=False, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(model.learned_graph(), adjacency(2))
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("sparse", ["never", "always"])
+    def test_static_graph_forecasts_in_the_model_dtype(self, dtype, sparse):
+        # The static operators are normalized in float64 and cast, so a
+        # float32 model does not promote its activations to float64.
+        from repro.autodiff import default_dtype
+        from repro.nn.sparse import set_sparse_mode
+
+        set_sparse_mode(sparse)  # the suite fixture restores the mode
+        with default_dtype(dtype):
+            model = MTGNN(V, L, initial_adjacency=adjacency(2),
+                          use_graph_learning=False,
+                          rng=np.random.default_rng(0))
+            x, _ = batch()
+            out = model(Tensor(x.astype(dtype)))
+            props = model._static_propagations()
+        assert {type(op).__name__ for op in props} == {
+            "CSRMatrix" if sparse == "always" else "Tensor"}
+        assert out.dtype == np.dtype(dtype)
+        assert model.predict(x).dtype == np.dtype(dtype)
+
     def test_graph_learning_updates_graph_during_training(self):
         model = create_model("mtgnn", V, L, adjacency=adjacency(3), seed=0)
         before = model.learned_graph()

@@ -291,6 +291,23 @@ class TestProcessState:
         fresh = create_model("lstm", V, L, seed=0)
         assert {p.dtype for p in fresh.parameters()} == {np.dtype("float32")}
 
+    @pytest.mark.parametrize("model_name", ["lstm", "tgcn", "a3tgcn"])
+    def test_predict_casts_windows_to_the_model_dtype(self, tmp_path,
+                                                      model_name):
+        # A float64 shard in a float32 process: solo predict must forecast
+        # from float64 windows, exactly as the engine does.
+        from repro.serving import InferenceEngine
+
+        artifact, _ = make_artifact(model_name, "float64")
+        store = ModelStore(tmp_path)
+        shard = store.load_shard(store.save_cohort([artifact]))
+        ad.set_default_dtype("float32")
+        window = np.asarray(artifact.window_tail)
+        solo = shard.materialize("p0").predict(window[None])[0]
+        served = InferenceEngine([shard]).forecast("p0", window)
+        assert solo.dtype == np.dtype("float64")
+        np.testing.assert_array_equal(solo, served)
+
     def test_manifest_is_fsynced_before_it_is_published(self, tmp_path,
                                                         monkeypatch):
         import os

@@ -487,3 +487,106 @@ class TestLaneOps:
             np.testing.assert_array_equal(xs.grad[k], xk.grad)
             np.testing.assert_array_equal(ws.grad[k], wk.grad)
             np.testing.assert_array_equal(bs.grad[k], bk.grad)
+
+
+def _windows(kind, samples, seq_len, nodes, rng):
+    """Sliding windows of one series, or the same windows reversed."""
+    series = rng.normal(size=(samples + seq_len - 1, nodes))
+    windows = np.stack([series[s:s + seq_len] for s in range(samples)])
+    return windows if kind == "sliding" else windows[::-1].copy()
+
+
+class TestTimeRows:
+    """Lanes take the T-GCN row layout their solo forwards take."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("kind", ["sliding", "reversed"])
+    @pytest.mark.parametrize("model_name", ["tgcn", "a3tgcn"])
+    def test_lane_forward_matches_solo_on_both_layouts(self, model_name,
+                                                       kind, dtype):
+        from collections import OrderedDict
+
+        from repro.autodiff import Tensor, default_dtype
+        from repro.models import create_model
+        from repro.nn.module import Parameter
+        from repro.training.stacked import lane_forward
+
+        lanes, samples, seq_len, nodes = 3, 6, 4, 5
+        rng = np.random.default_rng(8)
+        graphs = [np.abs(rng.normal(size=(nodes, nodes))) for _ in range(lanes)]
+        with default_dtype(dtype):
+            models = [create_model(model_name, nodes, seq_len,
+                                   adjacency=graphs[k], config=FAST_MODEL,
+                                   seed=k).eval() for k in range(lanes)]
+            params = OrderedDict(
+                (name, Parameter(np.stack([dict(m.named_parameters())[name]
+                                           .data for m in models])))
+                for name, _ in models[0].named_parameters())
+            inputs = np.stack([_windows(kind, samples, seq_len, nodes, rng)
+                               for _ in range(lanes)]).astype(dtype)
+            weights = rng.normal(size=(lanes, samples, nodes)).astype(dtype)
+            forward, _ = lane_forward(model_name, models[0], graphs, samples)
+            out = forward(params, inputs, None)
+            (out * Tensor(weights)).sum().backward()
+            for k, model in enumerate(models):
+                solo = model(Tensor(inputs[k]))
+                (solo * Tensor(weights[k])).sum().backward()
+                np.testing.assert_array_equal(out.data[k], solo.data)
+                for name, param in model.named_parameters():
+                    if param.grad is None:
+                        assert params[name].grad is None, name
+                    else:
+                        np.testing.assert_array_equal(
+                            params[name].grad[k], param.grad, err_msg=name)
+
+    def test_lanes_that_disagree_raise(self):
+        from repro.autodiff import Tensor
+        from repro.models import create_model
+        from repro.training.stacked import lane_forward
+
+        rng = np.random.default_rng(9)
+        graphs = [np.abs(rng.normal(size=(5, 5))) for _ in range(2)]
+        model = create_model("a3tgcn", 5, 3, adjacency=graphs[0],
+                             config=FAST_MODEL, seed=0)
+        stacked = {name: Tensor(np.stack([p.data, p.data]))
+                   for name, p in model.named_parameters()}
+        inputs = np.stack([_windows("sliding", 4, 3, 5, rng),
+                           _windows("reversed", 4, 3, 5, rng)])
+        forward, _ = lane_forward("a3tgcn", model, graphs, 4)
+        with pytest.raises(ValueError, match="time-row layouts"):
+            forward(stacked, inputs.astype(np.float32), None)
+
+    @pytest.mark.parametrize("model_name", ["tgcn", "a3tgcn"])
+    def test_disagreeing_stack_falls_back_to_solo(self, model_name,
+                                                  monkeypatch):
+        # Recordings always window into sliding batches, so the stack is
+        # made to disagree by reversing one lane's training windows where
+        # only the stacked executor reads them.  The stack must give up
+        # before training and leave every cell to the solo path.
+        import dataclasses
+
+        from repro.training import stacked as stacked_module
+
+        real_split = stacked_module.split_windows
+        calls = []
+
+        def split_one_reversed(values, seq_len, train_fraction):
+            split = real_split(values, seq_len, train_fraction)
+            calls.append(None)
+            if len(calls) != 2:
+                return split
+            train = split.train
+            return dataclasses.replace(split, train=dataclasses.replace(
+                train, inputs=train.inputs[::-1].copy(),
+                targets=train.targets[::-1].copy(),
+                target_indices=train.target_indices[::-1].copy()))
+
+        cohort = make_cohort(ragged=False)
+        serial, _ = run_both(cohort, model_name, TrainerConfig(epochs=3))
+        monkeypatch.setattr(stacked_module, "split_windows",
+                            split_one_reversed)
+        with pytest.warns(RuntimeWarning, match="time-row layouts"):
+            _, stacked = run_both(cohort, model_name,
+                                  TrainerConfig(epochs=3))
+        assert calls
+        assert_identical(serial, stacked)
