@@ -109,8 +109,7 @@ def run_memory(model: str, args: tuple) -> dict:
 
 def run_bench(model: str, epochs: int, seq_len: int = 2,
               num_variables: int = 6, time_points: int = 60,
-              hidden: int = 8, strict: bool | None = None,
-              repeats: int = REPEATS) -> dict:
+              hidden: int = 8, strict: bool | None = None) -> dict:
     if strict is None:
         strict = os.environ.get("REPRO_BENCH_STRICT") == "1"
     rng = np.random.default_rng(0)
@@ -119,7 +118,7 @@ def run_bench(model: str, epochs: int, seq_len: int = 2,
 
     args = (epochs, seq_len, values, adjacency, hidden)
     eager_epochs, replay_epochs, speedups = [], [], []
-    for repeat in range(repeats):
+    for repeat in range(REPEATS):
         # Alternate which side runs first, so drift on the host lands on
         # both sides alike.
         order = (False, True) if repeat % 2 == 0 else (True, False)
@@ -137,13 +136,12 @@ def run_bench(model: str, epochs: int, seq_len: int = 2,
         speedups.append(eager_epochs[-1] / replay_epochs[-1])
 
     speedup = statistics.median(speedups)
-    quartiles = (statistics.quantiles(speedups, n=4)[::2] if repeats > 1
-                 else [speedup, speedup])
+    quartiles = statistics.quantiles(speedups, n=4)[::2]
     eager_epoch = statistics.median(eager_epochs)
     replay_epoch = statistics.median(replay_epochs)
 
     print(f"\ntrace-capture JIT: {model}, {epochs} epochs, "
-          f"seq_len={seq_len}, hidden={hidden}, {repeats} interleaved pairs")
+          f"seq_len={seq_len}, hidden={hidden}, {REPEATS} interleaved pairs")
     print(f"  eager epoch (median)   {eager_epoch * 1e3:8.3f} ms")
     print(f"  replayed epoch (median){replay_epoch * 1e3:8.3f} ms")
     print(f"  last fit               {eager_total:6.2f}s eager / "
@@ -156,7 +154,7 @@ def run_bench(model: str, epochs: int, seq_len: int = 2,
     if strict:
         assert speedup >= SPEEDUP_TARGET, \
             f"strict mode: x{speedup:.2f} < x{SPEEDUP_TARGET:.0f}"
-    return {"model": model, "epochs": epochs, "repeats": repeats,
+    return {"model": model, "epochs": epochs, "repeats": REPEATS,
             "eager_epoch_seconds": eager_epoch,
             "replay_epoch_seconds": replay_epoch,
             "speedup": speedup,
@@ -205,15 +203,12 @@ def main(argv=None) -> int:
     parser.add_argument("--epochs", type=int, default=None,
                         help="epochs per fit (default: 60, or 12 with "
                              "--quick)")
-    parser.add_argument("--repeats", type=int, default=REPEATS,
-                        help=f"interleaved eager/jitted fit pairs per model "
-                             f"(default: {REPEATS})")
     args = parser.parse_args(argv)
     epochs = args.epochs or (12 if args.quick else 60)
     models = ("lstm", "a3tgcn") if args.model == "both" else (args.model,)
     reports = [run_bench(model, epochs=epochs,
                          strict=False if args.quick or model != "lstm"
-                         else None, repeats=args.repeats)
+                         else None)
                for model in models]
     _write_report(reports)
     return 0

@@ -547,14 +547,13 @@ def _require_contract(m: int, n: int, a: tuple, b: tuple) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Patched module-level functions (concat / stack / where / softmax /
-# windows_slide).
+# Patched module-level functions (concat / stack / where / softmax).
 # ---------------------------------------------------------------------------
 def _is_abstract(value) -> bool:
     return isinstance(value, AbstractTensor)
 
 
-def _abstract_patches(ctx: _Ctx, real_windows_slide) -> dict:
+def _abstract_patches(ctx: _Ctx) -> dict:
     real_concat = _tensor_mod.concat
     real_stack = _tensor_mod.stack
     real_where = _tensor_mod.where
@@ -639,17 +638,8 @@ def _abstract_patches(ctx: _Ctx, real_windows_slide) -> dict:
         ctx.record("log_softmax", x.shape, x.dtype, x.requires_grad)
         return out
 
-    def windows_slide(windows):
-        # The T-GCN row layout reads window values, which a symbolic
-        # batch lacks.  Both layouts record the same ops (they differ in
-        # one slice bound), so the step-major one stands for either.
-        if isinstance(windows, AbstractArray):
-            return False
-        return real_windows_slide(windows)
-
     return {"concat": concat, "stack": stack, "where": where,
-            "softmax": softmax, "log_softmax": log_softmax,
-            "windows_slide": windows_slide}
+            "softmax": softmax, "log_softmax": log_softmax}
 
 
 @contextlib.contextmanager
@@ -661,14 +651,11 @@ def _patched_functions(ctx: _Ctx):
     wrapper too — including ``repro.autodiff.tensor.where`` itself, which
     ``huber`` re-imports at call time.
     """
-    from ..models.tgcn import windows_slide
-
     originals = {"concat": _tensor_mod.concat, "stack": _tensor_mod.stack,
                  "where": _tensor_mod.where,
                  "softmax": _functional.softmax,
-                 "log_softmax": _functional.log_softmax,
-                 "windows_slide": windows_slide}
-    replacements = _abstract_patches(ctx, windows_slide)
+                 "log_softmax": _functional.log_softmax}
+    replacements = _abstract_patches(ctx)
     touched: list[tuple[object, str, object]] = []
     for module in list(sys.modules.values()):
         name = getattr(module, "__name__", "") or ""

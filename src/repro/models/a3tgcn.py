@@ -40,7 +40,7 @@ class A3TGCN(Forecaster):
         super().__init__(num_variables, seq_len)
         rng = rng if rng is not None else np.random.default_rng()
         self.hidden_size = hidden_size
-        self.cell = TGCNCell(1, hidden_size, adjacency, rng=rng)
+        self.cell = TGCNCell(hidden_size, adjacency, rng=rng)
         self.attention = Parameter(rng.uniform(-0.1, 0.1, size=seq_len))
         self.dropout = Dropout(dropout, rng=rng)
         self.head = Linear(hidden_size, 1, rng=rng)

@@ -34,7 +34,13 @@ def windows_slide(windows: np.ndarray) -> bool:
     when none does; batches that disagree raise ``ValueError``, because
     one row layout serves them all.  One-window and one-step batches
     slide trivially.
+
+    Anything but a concrete ndarray (a symbolic batch in the static
+    analyzer) has no values to compare and takes the step-major layout;
+    both layouts are built by the same ops, so the analysis is the same.
     """
+    if not isinstance(windows, np.ndarray):
+        return False
     bits = windows.view(f"u{windows.dtype.itemsize}")
     slides = (bits[..., 1:, :-1, :] == bits[..., :-1, 1:, :]).all(
         axis=(-3, -2, -1))
@@ -95,15 +101,14 @@ class TGCNCell(Module):
     states ``(S, V, H)``.
     """
 
-    def __init__(self, in_features: int, hidden_size: int, adjacency: np.ndarray,
+    def __init__(self, hidden_size: int, adjacency: np.ndarray,
                  rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng()
         from ..nn import Linear
 
-        self.in_features = in_features
         self.hidden_size = hidden_size
-        self.graph_conv1 = GCNConv(in_features, hidden_size, adjacency, rng=rng)
+        self.graph_conv1 = GCNConv(1, hidden_size, adjacency, rng=rng)
         self.graph_conv2 = GCNConv(hidden_size, hidden_size, adjacency, rng=rng)
         self.gates = Linear(2 * hidden_size, 2 * hidden_size, rng=rng)
         self.candidate = Linear(2 * hidden_size, hidden_size, rng=rng)
@@ -116,14 +121,11 @@ class TGCNCell(Module):
         self.graph_conv2.set_adjacency(adjacency)
 
     def input_stage(self, rows: Tensor) -> tuple[Tensor, Tensor]:
-        """Input halves ``(u_gates, u_cand)`` for rows ``(..., V, F)``.
+        """Input halves ``(u_gates, u_cand)`` for rows ``(..., V, 1)``.
 
         ``u = GC(x) @ W[:, :H].T + b`` for the gates and the candidate:
         everything in a step that does not read the hidden state.
         """
-        if rows.shape[-1] != self.in_features:
-            raise ValueError(f"TGCNCell expected input feature size "
-                             f"{self.in_features}, got {rows.shape[-1]}")
         gc = self.graph_conv2(self.graph_conv1(rows).relu())
         h = self.hidden_size
         return (gc @ self.gates.weight[:, :h].T + self.gates.bias,
@@ -177,7 +179,7 @@ class TGCNForecaster(Forecaster):
         from ..nn import Dropout, Linear
 
         self.hidden_size = hidden_size
-        self.cell = TGCNCell(1, hidden_size, adjacency, rng=rng)
+        self.cell = TGCNCell(hidden_size, adjacency, rng=rng)
         self.dropout = Dropout(dropout, rng=rng)
         self.head = Linear(hidden_size, 1, rng=rng)
 

@@ -208,7 +208,7 @@ def test_cell_gradients(kind):
         rng = np.random.default_rng(3)
         adjacency = rng.random((3, 3))
         np.fill_diagonal(adjacency, 0.0)
-        cell = TGCNCell(1, 3, adjacency, rng=np.random.default_rng(4))
+        cell = TGCNCell(3, adjacency, rng=np.random.default_rng(4))
         inputs = make_windows(kind, 3, 3, 3, rng)
         weights = Tensor(rng.standard_normal((3, 3, 3, 3)))
 
